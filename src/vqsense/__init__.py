@@ -1,6 +1,6 @@
 """Variational quantum sensing workbench with online conformal risk control."""
 
-from . import conformal, engine, estimator, probe, qsim
+from . import conformal, engine, estimator, probe
 from .engine import RunConfig, run_experiment, run_trial
 from .estimator import SequentialPhaseEstimator, TrainConfig
 
@@ -11,7 +11,6 @@ __all__ = [
     "engine",
     "estimator",
     "probe",
-    "qsim",
     "RunConfig",
     "run_experiment",
     "run_trial",

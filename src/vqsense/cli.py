@@ -2,11 +2,12 @@
 
 Configs are flat key = value text files mirroring RunConfig field names
 ("T" is accepted as an alias for horizon); command-line flags override file
-values, which override defaults. Every run writes a manifest.json first,
-then per-trial JSONL records and an aggregate CSV, and finally rewrites the
-manifest with artifact checksums. Wall-clock timestamps go to a run.log
-sidecar so that every checksummed artifact is byte-reproducible from the
-config and seed alone.
+values, which override defaults. Each flag's dest is its RunConfig field, and
+file and flag values go through the same per-field parser. Every run writes a
+manifest.json first, then per-trial JSONL records and an aggregate CSV, and
+finally rewrites the manifest with artifact checksums. Wall-clock timestamps
+go to a run.log sidecar so that every checksummed artifact is
+byte-reproducible from the config and seed alone.
 """
 from __future__ import annotations
 
@@ -33,20 +34,35 @@ from .engine import (
     run_trial,
     trial_seed,
 )
-from .qsim import ConfigurationError
+from .probe import ConfigurationError
 
 ENV_OUT_ROOT = "VQSENSE_OUT"
 _CONFIG_ALIASES = {"t": "horizon", "l": "shots"}
+_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 class ConfigFileError(ValueError):
     pass
 
 
+def parse_value(name: str, text: str):
+    """Convert the text of a config-file value or flag to its RunConfig field type."""
+    kind = _FIELDS[name].type
+    try:
+        if kind == "int":
+            return int(text)
+        if kind == "float":
+            return float(text)
+        if kind == "float | None":
+            return None if text.lower() in ("none", "") else float(text)
+        return text
+    except ValueError as exc:
+        raise ConfigFileError(f"bad value for {name!r}: {exc}") from None
+
+
 def parse_config_file(path: str | Path) -> dict:
     """Flat key = value config; '#' starts a comment. Errors carry line numbers."""
     path = Path(path)
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values: dict = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -57,41 +73,27 @@ def parse_config_file(path: str | Path) -> dict:
         key, _, text = line.partition("=")
         key = key.strip().replace("-", "_").lower()
         key = _CONFIG_ALIASES.get(key, key)
-        if key not in fields:
+        if key not in _FIELDS:
             raise ConfigFileError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _coerce(fields[key], text.strip(), path, lineno)
+        try:
+            values[key] = parse_value(key, text.strip())
+        except ConfigFileError as exc:
+            raise ConfigFileError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
-def _coerce(field: dataclasses.Field, text: str, path: Path, lineno: int):
-    try:
-        if field.type in ("int", int):
-            return int(text)
-        if field.type in ("float", float):
-            return float(text)
-        if field.type == "float | None":
-            return None if text.lower() in ("none", "") else float(text)
-        return text
-    except ValueError as exc:
-        raise ConfigFileError(f"{path}:{lineno}: bad value for {field.name!r}: {exc}")
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the config file, then every flag given (dest = field name)."""
     values: dict = {}
     if getattr(args, "config", None):
         cfg_path = Path(args.config)
         if not cfg_path.exists():
             raise ConfigFileError(f"config file not found: {cfg_path}")
         values.update(parse_config_file(cfg_path))
-    flag_map = {
-        "alpha": "alpha", "T": "horizon", "seed": "seed", "mode": "mode",
-        "trials": "trials", "hidden_size": "hidden_size", "eta": "eta",
-        "eta_theta": "eta_theta", "tau": "tau",
-    }
-    for flag, field in flag_map.items():
-        v = getattr(args, flag, None)
-        if v is not None:
-            values[field] = v
+    for name in _FIELDS:
+        text = getattr(args, name, None)
+        if text is not None:
+            values[name] = parse_value(name, text)
     return RunConfig(**values)
 
 
@@ -280,17 +282,17 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 
 def _add_common_flags(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--T", type=int, help="horizon (number of time steps)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--alpha")
+    p.add_argument("--T", dest="horizon", help="horizon (number of time steps)")
+    p.add_argument("--seed")
     if with_mode:
         p.add_argument("--mode", choices=MODES)
     p.add_argument("--out-dir")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--hidden-size", dest="hidden_size", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--eta-theta", dest="eta_theta", type=float)
-    p.add_argument("--tau", type=float)
+    p.add_argument("--trials")
+    p.add_argument("--hidden-size", dest="hidden_size")
+    p.add_argument("--eta")
+    p.add_argument("--eta-theta", dest="eta_theta")
+    p.add_argument("--tau")
 
 
 def main(argv: list[str] | None = None) -> int:

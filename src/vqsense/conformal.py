@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qsim import ConfigurationError
+from .probe import ConfigurationError
 
 SCHEDULES = ("constant", "decay")
 EMPTY_SET_DISTANCE = np.pi  # cap for the min-distance loss of an empty set
@@ -111,11 +111,6 @@ def soft_size_grad_scores(scores: np.ndarray, lam: float, tau: float) -> np.ndar
     scores = np.asarray(scores, dtype=float)
     s = sigmoid(-(scores - lam) / tau)
     return -s * (1 - s) / tau
-
-
-def soft_size_grad_lambda(scores: np.ndarray, lam: float, tau: float) -> float:
-    """d(soft size)/d(lam), nonnegative by set monotonicity in lam."""
-    return float(-np.sum(soft_size_grad_scores(scores, lam, tau)))
 
 
 def risk_bound(

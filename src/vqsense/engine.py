@@ -17,9 +17,15 @@ import numpy as np
 
 from . import conformal, probe
 from .estimator import SequentialPhaseEstimator, TrainConfig, forward_bayesian
-from .qsim import ConfigurationError
+from .probe import MAX_QUBITS, ConfigurationError
 
 MODES = ("dynamic", "static", "static-threshold", "static-probe-estimator")
+LOSS_KINDS = ("coverage", "distance")
+PHASE_PROCESSES = ("iid", "drift")
+BASES = {
+    "hadamard": probe.MeasurementBasis.hadamard,
+    "computational": probe.MeasurementBasis.computational,
+}
 TRIAL_SEED_STRIDE = 9973
 
 
@@ -58,17 +64,35 @@ class RunConfig:
     phase_process: str = "iid"  # or "drift": slow rotation across the grid
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.loss_kind not in ("coverage", "distance"):
-            raise ConfigurationError(f"unknown loss kind {self.loss_kind!r}")
-        if not 0 < self.alpha < 1:
-            raise ConfigurationError("alpha must be in (0, 1)")
-        if self.phase_process not in ("iid", "drift"):
-            raise ConfigurationError(f"unknown phase process {self.phase_process!r}")
-        for name in ("n", "layers", "m", "shots", "horizon", "trials", "hidden_size"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive")
+        """Reject every invalid field up front, before any artifact is written."""
+        rules = [
+            ("mode", self.mode in MODES, f"must be one of {MODES}"),
+            ("loss_kind", self.loss_kind in LOSS_KINDS, f"must be one of {LOSS_KINDS}"),
+            ("schedule", self.schedule in conformal.SCHEDULES,
+             f"must be one of {conformal.SCHEDULES}"),
+            ("basis", self.basis in BASES, f"must be one of {tuple(BASES)}"),
+            ("phase_process", self.phase_process in PHASE_PROCESSES,
+             f"must be one of {PHASE_PROCESSES}"),
+            ("n", 2 <= self.n <= MAX_QUBITS, f"must be in [2, {MAX_QUBITS}]"),
+            ("m", self.m >= 2, "must be >= 2"),
+            ("alpha", 0 < self.alpha < 1, "must be in (0, 1)"),
+            ("tau", self.tau > 0, "must be > 0"),
+            ("eta", self.eta > 0, "must be > 0"),
+            ("dropout", 0 <= self.dropout < 1, "must be in [0, 1)"),
+            ("decay", 0 < self.decay <= 1, "must be in (0, 1]"),
+            ("lambda_init", self.lambda_init is None or np.isfinite(self.lambda_init),
+             "must be finite"),
+        ]
+        for name in ("eta_theta", "lr", "pretrain_lr", "l2", "seed",
+                     "pretrain_epochs", "probe_pretrain_steps"):
+            rules.append((name, getattr(self, name) >= 0, "must be >= 0"))
+        for name in ("layers", "shots", "horizon", "trials", "hidden_size",
+                     "decay_every", "ensemble", "dropout_passes", "pretrain_samples"):
+            rules.append((name, getattr(self, name) >= 1, "must be >= 1"))
+        for name, ok, requirement in rules:
+            if not ok:
+                value = getattr(self, name)
+                raise ConfigurationError(f"{name} {requirement}, got {value!r}")
 
     @property
     def l_max(self) -> float:
@@ -84,16 +108,10 @@ class RunConfig:
             l2=self.l2,
             decay=self.decay,
             decay_every=self.decay_every,
-            dropout=self.dropout,
-            ensemble=self.ensemble,
         )
 
     def make_basis(self) -> probe.MeasurementBasis:
-        if self.basis == "hadamard":
-            return probe.MeasurementBasis.hadamard()
-        if self.basis == "computational":
-            return probe.MeasurementBasis.computational()
-        raise ConfigurationError(f"unknown measurement basis {self.basis!r}")
+        return BASES[self.basis]()
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -218,7 +236,7 @@ def pretrain_run(state: RunState) -> list[tuple[np.ndarray, int]]:
     """
     cfg = state.cfg
     dataset = make_pretrain_dataset(state, cfg.pretrain_samples)
-    pre_cfg = TrainConfig(lr=cfg.pretrain_lr, l2=cfg.l2, dropout=cfg.dropout)
+    pre_cfg = TrainConfig(lr=cfg.pretrain_lr, l2=cfg.l2)
     for model in state.models:
         model.fit(dataset, pre_cfg, cfg.pretrain_epochs, rng=state.rng)
 
@@ -232,7 +250,7 @@ def pretrain_run(state: RunState) -> list[tuple[np.ndarray, int]]:
         scores = -np.log(state.posterior(shots))
         g = conformal.soft_set_size(scores, lam, cfg.tau)
         baseline = g_sum / g_count if g_count else g
-        state.theta, _ = _score_function_step(
+        state.theta, _ = probe_grad_step(
             state.theta, shots, g, baseline, x_value, state.basis, cfg
         )
         g_sum += g
@@ -240,7 +258,7 @@ def pretrain_run(state: RunState) -> list[tuple[np.ndarray, int]]:
     return dataset
 
 
-def _score_function_step(
+def probe_grad_step(
     theta: probe.ProbeParams,
     shots: np.ndarray,
     g_value: float,
@@ -249,7 +267,10 @@ def _score_function_step(
     basis: probe.MeasurementBasis,
     cfg: RunConfig,
 ) -> tuple[probe.ProbeParams, bool]:
-    """theta <- theta - eta_theta * (G - b) * sum_l grad log p(s_l | x)."""
+    """theta <- theta - eta_theta * (G - b) * sum_l grad log p(s_l | x).
+
+    Returns the new angles and a flag that is True when any shot was skipped.
+    """
     if cfg.eta_theta == 0.0:
         return theta, False
     table, valid = probe.log_prob_grad_table(theta, x_value, basis, cfg.n)
@@ -262,19 +283,6 @@ def _score_function_step(
         return theta, True
     flat = theta.flat() - cfg.eta_theta * ghat
     return probe.ProbeParams.from_flat(flat), len(usable) < len(shots)
-
-
-def probe_grad_step(
-    theta: probe.ProbeParams,
-    shots: np.ndarray,
-    g_value: float,
-    baseline: float,
-    x_value: float,
-    basis: probe.MeasurementBasis,
-    cfg: RunConfig,
-) -> tuple[probe.ProbeParams, bool]:
-    """Public wrapper around the score-function update (flag = any skipped shots)."""
-    return _score_function_step(theta, shots, g_value, baseline, x_value, basis, cfg)
 
 
 def sense_step(state: RunState, x_index: int) -> EpisodeRecord:
@@ -302,7 +310,7 @@ def sense_step(state: RunState, x_index: int) -> EpisodeRecord:
             ok = model.train_step(shots, x_index, tc, t=state.steps, rng=state.rng)
             skipped = skipped or not ok
         baseline = state.g_sum / state.g_count if state.g_count else g
-        state.theta, probe_skip = _score_function_step(
+        state.theta, probe_skip = probe_grad_step(
             state.theta, shots, g, baseline, x_value, state.basis, cfg
         )
         skipped = skipped or probe_skip

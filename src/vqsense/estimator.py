@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import ConfigurationError
+from .probe import ConfigurationError
 
 EPS = 1e-12
 
@@ -25,24 +25,12 @@ _CELL_KEYS = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wc", "Uc", "bc")
 
 @dataclass
 class TrainConfig:
-    """Online-training hyperparameters for the estimator."""
+    """Online-training hyperparameters for the estimator (validated by RunConfig)."""
 
     lr: float = 1e-3
     l2: float = 1e-4
     decay: float = 0.1
     decay_every: int = 50
-    dropout: float = 0.0
-    ensemble: int = 1
-
-    def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigurationError("learning rate must be >= 0")
-        if not 0 < self.decay <= 1:
-            raise ConfigurationError("decay must be in (0, 1]")
-        if not 0 <= self.dropout < 1:
-            raise ConfigurationError("dropout must be in [0, 1)")
-        if self.ensemble < 1:
-            raise ConfigurationError("ensemble size must be >= 1")
 
     def lr_at(self, t: int) -> float:
         return self.lr * self.decay ** (t // self.decay_every)
@@ -80,7 +68,6 @@ class SequentialPhaseEstimator:
         self.n_levels = n_levels
         self.hidden = hidden_size
         self.dropout = dropout
-        self.seed = seed
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(hidden_size)
         self.params: dict[str, np.ndarray] = {}
@@ -99,16 +86,7 @@ class SequentialPhaseEstimator:
         self.params["bo"] = np.zeros(n_levels)
         self._key_order = sorted(self.params)
 
-    # -- sklearn-flavored config surface -------------------------------------
-    def get_params(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "n_levels": self.n_levels,
-            "hidden_size": self.hidden,
-            "dropout": self.dropout,
-            "seed": self.seed,
-        }
-
+    # -- flat weight vector (checkpoints, gradient checks) ---------------------
     def get_weights(self) -> np.ndarray:
         return np.concatenate([self.params[k].reshape(-1) for k in self._key_order])
 
@@ -124,11 +102,6 @@ class SequentialPhaseEstimator:
             size = self.params[k].size
             self.params[k] = flat[pos : pos + size].reshape(self.params[k].shape).copy()
             pos += size
-
-    def clone(self) -> "SequentialPhaseEstimator":
-        other = SequentialPhaseEstimator(**self.get_params())
-        other.set_weights(self.get_weights())
-        return other
 
     # -- forward / backward ---------------------------------------------------
     def _cell(self, layer: int, x: np.ndarray, h: np.ndarray):
@@ -181,11 +154,8 @@ class SequentialPhaseEstimator:
         post = np.maximum(_softmax(logits), EPS)
         return post / post.sum()
 
-    def score(self, shots: np.ndarray, x_index: int) -> float:
-        """Conformity score -log p(x_index | shots); finite by the floor."""
-        return float(-np.log(self.forward(shots)[x_index]))
-
     def scores(self, shots: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Conformity score -log p(x | shots) of every phase; finite by the floor."""
         return -np.log(self.forward(shots, rng=rng))
 
     def nll(self, shots: np.ndarray, x_index: int) -> float:
@@ -292,17 +262,6 @@ class SequentialPhaseEstimator:
             for shots, x_index in dataset:
                 self.train_step(shots, x_index, cfg, t=0, rng=rng)
         return self
-
-
-def pretrain(
-    model: SequentialPhaseEstimator,
-    dataset: list[tuple[np.ndarray, int]],
-    cfg: TrainConfig,
-    epochs: int,
-    rng: np.random.Generator | None = None,
-) -> SequentialPhaseEstimator:
-    """Functional alias of fit(); mutates and returns the model."""
-    return model.fit(dataset, cfg, epochs, rng=rng)
 
 
 def forward_bayesian(

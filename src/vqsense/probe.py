@@ -15,16 +15,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qsim import ConfigurationError, StateVector
-
+MAX_QUBITS = 12
 ANGLES_PER_LAYER = 4  # (rz, ry, rz) shared 1-qubit angles + 1 shared ZZ angle
 PROB_FLOOR = 1e-12  # outcomes below this are excluded from log-gradients
 FD_STEP = 1e-5
 
 
-class DegenerateGradientError(ValueError):
-    """Raised when a log-probability gradient is requested for an outcome
-    whose probability is numerically zero."""
+class ConfigurationError(ValueError):
+    """Raised for invalid register sizes, configs or model dimensions."""
+
+
+@dataclass
+class StateVector:
+    """Pure state of an n-qubit register.
+
+    amps[s] is the amplitude of computational-basis state |s>, with qubit 0
+    stored in the least-significant bit of s.
+    """
+
+    n: int
+    amps: np.ndarray
 
 
 def rz_matrix(angle: float) -> np.ndarray:
@@ -144,8 +154,8 @@ def _apply_1q(amps: np.ndarray, n: int, mat: np.ndarray, q: int) -> np.ndarray:
 
 def prepare_probe(theta: ProbeParams, n: int) -> StateVector:
     """Run the layered ansatz on |0...0>, producing the probe state."""
-    if n < 2:
-        raise ConfigurationError("probe circuit needs n >= 2 for the two-qubit ring")
+    if not 2 <= n <= MAX_QUBITS:
+        raise ConfigurationError(f"probe circuit needs 2 <= n <= {MAX_QUBITS}, got {n}")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
     ring = _ring_sign(n)
@@ -222,20 +232,3 @@ def log_prob_grad_table(
         safe_m = np.maximum(p_minus, 1e-300)
         grads[valid, k] = (np.log(safe_p[valid]) - np.log(safe_m[valid])) / (2 * h)
     return grads, valid
-
-
-def log_prob_grad_theta(
-    theta: ProbeParams,
-    x: float,
-    basis: MeasurementBasis,
-    n: int,
-    outcome: int,
-    h: float = FD_STEP,
-) -> np.ndarray:
-    """Gradient of log p(outcome|x) for a single observed outcome."""
-    grads, valid = log_prob_grad_table(theta, x, basis, n, h=h)
-    if not valid[outcome]:
-        raise DegenerateGradientError(
-            f"outcome {outcome} has probability below {PROB_FLOOR}"
-        )
-    return grads[outcome]

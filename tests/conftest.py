@@ -28,6 +28,19 @@ def dense_embed(n: int, mat: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     return full
 
 
+def random_gate(n: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Haar-ish random single-qubit unitary (via QR) on a random target qubit."""
+    raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(raw)
+    return q * (np.diag(r) / np.abs(np.diag(r))), int(rng.integers(n))
+
+
+def zero_state(n: int) -> np.ndarray:
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0] = 1.0
+    return amps
+
+
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return amps / np.linalg.norm(amps)

@@ -10,14 +10,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from vqsense import checks, cli, conformal, probe, qsim
+from vqsense import checks, cli, conformal, probe
 from vqsense.engine import RunConfig, aggregate, run_experiment, run_trial
 from vqsense.probe import MeasurementBasis, ProbeParams, phase_grid
 
 import conftest
-from conftest import dense_embed
+from conftest import dense_embed, random_gate, zero_state
 from test_probe import probe_state_oracle
-from test_qsim import _random_gate
 
 
 def _verdict(num, label, ok, detail=""):
@@ -138,13 +137,10 @@ class TestCriterion5SimulatorOracles:
     def test_analytic_magnetometer(self):
         worst = 0.0
         for x in phase_grid(10):
-            state = qsim.init_zero_state(1)
-            state = qsim.apply_gate(
-                state, qsim.GateOp(probe.ry_matrix(np.pi / 2), (0,))
-            )
-            state = probe.apply_phase_channel(state, x)
+            amps = probe.ry_matrix(np.pi / 2) @ np.array([1, 0], dtype=complex)
+            state = probe.apply_phase_channel(probe.StateVector(1, amps), x)
             state = probe.apply_measurement_basis(state, MeasurementBasis.hadamard())
-            p0 = qsim.outcome_probabilities(state)[0]
+            p0 = abs(state.amps[0]) ** 2
             worst = max(worst, abs(p0 - np.cos(x / 2) ** 2))
         ok = worst < 1e-10
         assert _verdict(
@@ -154,16 +150,15 @@ class TestCriterion5SimulatorOracles:
     def test_dense_matrix_oracle(self):
         rng = np.random.default_rng(7)
         worst = 0.0
+        # the production kernel under random single-qubit unitaries
         for n in (1, 2, 3):
             for _ in range(5):
-                state = qsim.init_zero_state(n)
-                dense = np.zeros(2**n, dtype=complex)
-                dense[0] = 1.0
+                amps = dense = zero_state(n)
                 for _ in range(12):
-                    mat, targets = _random_gate(n, rng)
-                    state = qsim.apply_gate(state, qsim.GateOp(mat, targets))
-                    dense = dense_embed(n, mat, targets) @ dense
-                worst = max(worst, np.max(np.abs(state.amps - dense)))
+                    mat, q = random_gate(n, rng)
+                    amps = probe._apply_1q(amps, n, mat, q)
+                    dense = dense_embed(n, mat, (q,)) @ dense
+                worst = max(worst, np.max(np.abs(amps - dense)))
         # the structured probe circuit must also match its dense oracle
         for n in (2, 3):
             theta = ProbeParams.random(3, rng)

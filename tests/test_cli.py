@@ -72,8 +72,8 @@ class TestConfigFile:
     def test_flags_override_file(self, fast_cfg_file):
         import argparse
 
-        ns = argparse.Namespace(config=str(fast_cfg_file), alpha=0.25, T=11,
-                                seed=None, mode=None, trials=None,
+        ns = argparse.Namespace(config=str(fast_cfg_file), alpha="0.25",
+                                horizon="11", seed=None, mode=None, trials=None,
                                 hidden_size=None, eta=None, eta_theta=None,
                                 tau=None)
         cfg = build_config(ns)
@@ -98,9 +98,13 @@ class TestExitCodes:
         assert rc == 2
 
     def test_invalid_value_range_exits_2(self, fast_cfg_file, tmp_path, capsys):
-        rc = main(["run", "--config", str(fast_cfg_file), "--alpha", "1.5",
-                   "--out-dir", str(tmp_path / "o")])
-        assert rc == 2
+        for flag, value in (("--alpha", "1.5"), ("--eta", "-1"), ("--tau", "0"),
+                            ("--eta-theta", "-0.5"), ("--T", "0")):
+            out = tmp_path / "o"
+            rc = main(["run", "--config", str(fast_cfg_file), flag, value,
+                       "--out-dir", str(out)])
+            assert rc == 2, flag
+            assert not out.exists(), flag
 
     def test_gradcheck_passes(self, capsys):
         rc = main(["gradcheck", "--seed", "0"])

@@ -3,8 +3,7 @@ import pytest
 
 from vqsense import conformal
 from vqsense.conformal import ThresholdState, build_set, update_threshold
-from vqsense.probe import phase_grid
-from vqsense.qsim import ConfigurationError
+from vqsense.probe import ConfigurationError, phase_grid
 
 
 class TestBuildSet:

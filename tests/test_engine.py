@@ -16,7 +16,7 @@ from vqsense.engine import (
     run_trial,
     sense_step,
 )
-from vqsense.qsim import ConfigurationError
+from vqsense.probe import ConfigurationError
 
 FAST = dict(
     n=2, layers=2, m=5, shots=4, horizon=10, hidden_size=8,
@@ -53,6 +53,23 @@ class TestRunConfig:
 
     def test_distance_loss_lmax(self):
         assert RunConfig(loss_kind="distance").l_max == pytest.approx(np.pi)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n", 1), ("n", 13), ("m", 1), ("eta", -1.0), ("tau", 0.0),
+            ("eta_theta", -0.5), ("schedule", "nope"), ("basis", "nope"),
+            ("loss_kind", "nope"), ("phase_process", "nope"), ("dropout", 1.5),
+            ("dropout", -0.1), ("ensemble", 0), ("dropout_passes", 0),
+            ("decay_every", 0), ("decay", 0.0), ("lr", -1.0), ("pretrain_lr", -1.0),
+            ("l2", -1.0), ("seed", -1), ("lambda_init", float("nan")),
+            ("pretrain_samples", 0), ("pretrain_epochs", -1),
+            ("probe_pretrain_steps", -1),
+        ],
+    )
+    def test_invalid_field_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            RunConfig(**{field: value})
 
 
 class TestSenseStep:

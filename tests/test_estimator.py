@@ -7,7 +7,7 @@ from vqsense.estimator import (
     TrainConfig,
     forward_bayesian,
 )
-from vqsense.qsim import ConfigurationError
+from vqsense.probe import ConfigurationError
 
 
 def make_model(hidden=16, seed=0, dropout=0.0, perturb=0.0):
@@ -49,7 +49,7 @@ class TestForward:
 class TestScore:
     def test_uniform_score_is_log_m(self):
         model = make_model()
-        assert abs(model.score(np.array([0, 1]), 3) - np.log(10)) < 1e-12
+        assert abs(model.scores(np.array([0, 1]))[3] - np.log(10)) < 1e-12
 
     def test_floor_bounds_score(self):
         # score of the floored entry: -log(1e-12) ~ 27.631
@@ -59,8 +59,9 @@ class TestScore:
         model = make_model(perturb=0.4)
         shots = rng.integers(4, size=8)
         vec = model.scores(shots)
+        post = model.forward(shots)
         for i in range(10):
-            assert abs(vec[i] - model.score(shots, i)) < 1e-12
+            assert abs(vec[i] - float(-np.log(post[i]))) < 1e-12
 
 
 class TestBackprop:
@@ -157,7 +158,7 @@ class TestForwardBayesian:
     def test_identical_members_equal_single(self, rng):
         model = make_model(perturb=0.3)
         shots = rng.integers(4, size=6)
-        ensemble = [model.clone() for _ in range(5)]
+        ensemble = [make_model(perturb=0.3) for _ in range(5)]
         np.testing.assert_allclose(
             forward_bayesian(ensemble, shots), model.forward(shots), atol=1e-12
         )
