@@ -111,8 +111,11 @@ def _sha256(path: Path) -> str:
 
 
 def write_manifest(out_dir: Path, payload: dict) -> Path:
+    """Write manifest.json atomically: a temp file in out_dir, then os.replace."""
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    tmp = out_dir / "manifest.json.tmp"
+    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    os.replace(tmp, path)
     return path
 
 
@@ -204,6 +207,11 @@ def _run_modes(cfg: RunConfig, modes: list[str], out_dir: Path, payload: dict) -
                 suffix = f"{mode}_trial_{i}.jsonl" if len(modes) > 1 else f"trial_{i}.jsonl"
                 paths.append(write_records(out_dir, suffix, records))
             curves_by_mode[mode] = aggregate(trials)
+    except KeyboardInterrupt:
+        payload["status"] = "interrupted"
+        write_manifest(out_dir, payload)
+        _log(out_dir, "interrupted")
+        raise
     except Exception as exc:  # noqa: BLE001 - partial results must be flagged
         payload["status"] = "partial"
         payload["error"] = str(exc)

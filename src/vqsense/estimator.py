@@ -1,9 +1,12 @@
 """Sequential phase estimator: a 2-layer recurrent net over shot sequences.
 
-Shots are fed one at a time as one-hot vectors through two stacked gated
-recurrent (GRU-style) cells; a linear head on the final hidden state gives
-logits over the M candidate phases. Backpropagation through time is written
-out by hand so gradients can be checked against finite differences.
+Shots are fed one at a time through two stacked gated recurrent (GRU-style)
+cells; a linear head on the final hidden state gives logits over the M
+candidate phases. Each cell keeps its update (z), reset (r) and candidate (c)
+gates as row blocks of one W, U and b, and the first cell reads a shot s as
+column W0[:, s], the product of W0 with the one-hot vector of s.
+Backpropagation through time is written out by hand so gradients can be
+checked against finite differences.
 
 The output head is zero-initialized, so an untrained model returns the
 exact uniform posterior. Posteriors are floored at EPS before the log so
@@ -18,9 +21,6 @@ import numpy as np
 from .probe import ConfigurationError
 
 EPS = 1e-12
-
-# (weight name, is input weight) per cell; input weights have shape (H, D_in).
-_CELL_KEYS = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wc", "Uc", "bc")
 
 
 @dataclass
@@ -69,20 +69,20 @@ class SequentialPhaseEstimator:
         self.hidden = hidden_size
         self.dropout = dropout
         rng = np.random.default_rng(seed)
-        bound = 1.0 / np.sqrt(hidden_size)
+        H = hidden_size
+        bound = 1.0 / np.sqrt(H)
         self.params: dict[str, np.ndarray] = {}
-        for layer, d_in in enumerate((input_dim, hidden_size)):
-            for key in _CELL_KEYS:
-                shape = (
-                    (hidden_size, d_in)
-                    if key.startswith("W")
-                    else (hidden_size, hidden_size)
-                    if key.startswith("U")
-                    else (hidden_size,)
-                )
-                self.params[f"{key}{layer}"] = rng.uniform(-bound, bound, size=shape)
+        for layer, d_in in enumerate((input_dim, H)):
+            # W (3H, D_in), U (3H, H), b (3H,) with gate rows z, r, c; the seed's
+            # initial weights depend on drawing W, U, b per gate in that order.
+            gates = [
+                [rng.uniform(-bound, bound, size=s) for s in ((H, d_in), (H, H), (H,))]
+                for _ in "zrc"
+            ]
+            for name, blocks in zip("WUb", zip(*gates)):
+                self.params[f"{name}{layer}"] = np.concatenate(blocks)
         # Zero head => exactly uniform posterior before any training.
-        self.params["Wo"] = np.zeros((n_levels, hidden_size))
+        self.params["Wo"] = np.zeros((n_levels, H))
         self.params["bo"] = np.zeros(n_levels)
         self._key_order = sorted(self.params)
 
@@ -104,12 +104,15 @@ class SequentialPhaseEstimator:
             pos += size
 
     # -- forward / backward ---------------------------------------------------
-    def _cell(self, layer: int, x: np.ndarray, h: np.ndarray):
-        p = self.params
-        z = _sigmoid(p[f"Wz{layer}"] @ x + p[f"Uz{layer}"] @ h + p[f"bz{layer}"])
-        r = _sigmoid(p[f"Wr{layer}"] @ x + p[f"Ur{layer}"] @ h + p[f"br{layer}"])
+    def _cell(self, layer: int, x: int | np.ndarray, h: np.ndarray):
+        """One GRU step; layer 0 takes a shot index x, layer 1 a hidden vector."""
+        H = self.hidden
+        W, U, b = (self.params[f"{k}{layer}"] for k in "WUb")
+        wx = W[:, x] if layer == 0 else W @ x
+        zr = _sigmoid(wx[: 2 * H] + U[: 2 * H] @ h + b[: 2 * H])
+        z, r = zr[:H], zr[H:]
         rh = r * h
-        c = np.tanh(p[f"Wc{layer}"] @ x + p[f"Uc{layer}"] @ rh + p[f"bc{layer}"])
+        c = np.tanh(wx[2 * H :] + U[2 * H :] @ rh + b[2 * H :])
         h_new = (1 - z) * h + z * c
         return h_new, {"x": x, "h": h, "z": z, "r": r, "rh": rh, "c": c}
 
@@ -122,23 +125,21 @@ class SequentialPhaseEstimator:
             raise ConfigurationError("shot outcome out of range for input dimension")
         h = [np.zeros(self.hidden), np.zeros(self.hidden)]
         caches = []
-        for s in shots:
-            x = np.zeros(self.input_dim)
-            x[s] = 1.0
+        for x in shots:
             step = []
             for layer in (0, 1):
                 h[layer], cache = self._cell(layer, x, h[layer])
-                x = h[layer]
-                if masks is not None:
-                    x = x * masks[layer]
+                x = h[layer] if masks is None else h[layer] * masks[layer]
                 step.append(cache)
             caches.append(step)
         h2_out = x  # final (possibly masked) top-layer output
         logits = self.params["Wo"] @ h2_out + self.params["bo"]
         return logits, caches, h2_out
 
-    def _make_masks(self, rng: np.random.Generator):
-        if self.dropout <= 0:
+    def _make_masks(self, rng: np.random.Generator | None):
+        """Inverted-dropout masks per layer, or None unless dropout is on and
+        an rng is given."""
+        if self.dropout <= 0 or rng is None:
             return None
         keep = 1.0 - self.dropout
         return [
@@ -149,8 +150,7 @@ class SequentialPhaseEstimator:
         self, shots: np.ndarray, rng: np.random.Generator | None = None
     ) -> np.ndarray:
         """Posterior over the M phases; stochastic only if dropout is active."""
-        masks = self._make_masks(rng) if (self.dropout > 0 and rng is not None) else None
-        logits, _, _ = self._run(shots, masks)
+        logits, _, _ = self._run(shots, self._make_masks(rng))
         post = np.maximum(_softmax(logits), EPS)
         return post / post.sum()
 
@@ -177,51 +177,42 @@ class SequentialPhaseEstimator:
         grads["Wo"] = np.outer(d_logits, h2_out)
         grads["bo"] = d_logits.copy()
 
-        dh = [np.zeros(self.hidden), np.zeros(self.hidden)]
+        H = self.hidden
+        dh = [np.zeros(H), np.zeros(H)]
         d_top = self.params["Wo"].T @ d_logits
         if masks is not None:
             d_top = d_top * masks[1]
         dh[1] += d_top
         for step in reversed(caches):
-            dx_down = np.zeros(self.hidden)
+            dx_down = 0.0
             for layer in (1, 0):
-                c_ = step[layer]
-                d = dh[layer] + (dx_down if layer == 0 else 0.0)
-                z, r, c, h_prev, x = c_["z"], c_["r"], c_["c"], c_["h"], c_["x"]
+                cache = step[layer]
+                U = self.params[f"U{layer}"]
+                z, r, c, h_prev, x = (cache[k] for k in ("z", "r", "c", "h", "x"))
+                d = dh[layer] + dx_down
                 dz = d * (c - h_prev)
                 dc = d * z
                 dh_prev = d * (1 - z)
                 dac = dc * (1 - c**2)
-                drh = self.params[f"Uc{layer}"].T @ dac
+                drh = U[2 * H :].T @ dac
                 dr = drh * h_prev
                 dh_prev = dh_prev + drh * r
                 dar = dr * r * (1 - r)
                 daz = dz * z * (1 - z)
-                grads[f"Wz{layer}"] += np.outer(daz, x)
-                grads[f"Uz{layer}"] += np.outer(daz, h_prev)
-                grads[f"bz{layer}"] += daz
-                grads[f"Wr{layer}"] += np.outer(dar, x)
-                grads[f"Ur{layer}"] += np.outer(dar, h_prev)
-                grads[f"br{layer}"] += dar
-                grads[f"Wc{layer}"] += np.outer(dac, x)
-                grads[f"Uc{layer}"] += np.outer(dac, c_["rh"])
-                grads[f"bc{layer}"] += dac
-                dh_prev = (
-                    dh_prev
-                    + self.params[f"Uz{layer}"].T @ daz
-                    + self.params[f"Ur{layer}"].T @ dar
-                )
-                dx = (
-                    self.params[f"Wz{layer}"].T @ daz
-                    + self.params[f"Wr{layer}"].T @ dar
-                    + self.params[f"Wc{layer}"].T @ dac
-                )
-                dh[layer] = dh_prev
-                if layer == 1:
-                    dx_down = dx
+                da = np.concatenate((daz, dar, dac))
+                grads[f"U{layer}"][: 2 * H] += np.outer(da[: 2 * H], h_prev)
+                grads[f"U{layer}"][2 * H :] += np.outer(dac, cache["rh"])
+                grads[f"b{layer}"] += da
+                # per-gate products: a packed U[:2H].T product reorders the sum
+                dh[layer] = dh_prev + U[:H].T @ daz + U[H : 2 * H].T @ dar
+                if layer == 0:
+                    grads["W0"][:, x] += da  # outer(da, onehot(x)) as a column add
+                else:
+                    grads["W1"] += np.outer(da, x)
+                    W = self.params["W1"]
+                    dx_down = W[:H].T @ daz + W[H : 2 * H].T @ dar + W[2 * H :].T @ dac
                     if masks is not None:
                         dx_down = dx_down * masks[0]
-                # layer 0 input is the one-hot shot; its gradient is dropped
         return loss, grads
 
     # -- training --------------------------------------------------------------
@@ -235,8 +226,7 @@ class SequentialPhaseEstimator:
     ) -> bool:
         """One gradient step on -log p(x_index | shots) + L2; returns False if
         the step was skipped because of a non-finite gradient."""
-        masks = self._make_masks(rng) if (self.dropout > 0 and rng is not None) else None
-        _, grads = self.loss_grads(shots, x_index, masks)
+        _, grads = self.loss_grads(shots, x_index, self._make_masks(rng))
         lr = cfg.lr_at(t)
         if lr == 0.0:
             return True
@@ -265,20 +255,16 @@ class SequentialPhaseEstimator:
 
 
 def forward_bayesian(
-    models: "SequentialPhaseEstimator | list[SequentialPhaseEstimator]",
+    models: list[SequentialPhaseEstimator],
     shots: np.ndarray,
     passes: int = 1,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Averaged posterior over ensemble members or stochastic dropout passes."""
-    if isinstance(models, SequentialPhaseEstimator):
-        members = [models]
-    else:
-        members = list(models)
-    if not members:
+    if not models:
         raise ConfigurationError("empty ensemble")
     posts = []
-    for m in members:
+    for m in models:
         if m.dropout > 0 and passes >= 1:
             for _ in range(passes):
                 posts.append(m.forward(shots, rng=rng))

@@ -146,7 +146,9 @@ def _ring_sign(n: int) -> np.ndarray:
 
 
 def _apply_1q(amps: np.ndarray, n: int, mat: np.ndarray, q: int) -> np.ndarray:
-    """Unvalidated single-qubit application; callers guarantee unitarity."""
+    """Apply a 2x2 gate to qubit q; callers guarantee unitarity."""
+    if not 0 <= q < n:
+        raise IndexError(f"qubit {q} out of range for {n} qubits")
     axis = n - 1 - q
     t = np.tensordot(mat, amps.reshape((2,) * n), axes=([1], [axis]))
     return np.moveaxis(t, 0, axis).reshape(-1)

@@ -134,6 +134,18 @@ class TestRunArtifacts:
             data = (out / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_interrupt_marks_manifest(self, fast_cfg_file, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_trial", interrupted)
+        out = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", str(fast_cfg_file), "--out-dir", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "interrupted"
+        assert {p.name for p in out.iterdir()} == {"manifest.json", "run.log"}
+
     def test_determinism_byte_identical(self, fast_cfg_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", str(fast_cfg_file), "--out-dir", str(out1)]) == 0

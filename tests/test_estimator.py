@@ -166,13 +166,13 @@ class TestForwardBayesian:
     def test_no_dropout_any_passes_equals_forward(self, rng):
         model = make_model(perturb=0.3, dropout=0.0)
         shots = rng.integers(4, size=6)
-        out = forward_bayesian(model, shots, passes=7, rng=rng)
+        out = forward_bayesian([model], shots, passes=7, rng=rng)
         np.testing.assert_allclose(out, model.forward(shots), atol=1e-12)
 
     def test_dropout_passes_average_is_valid(self, rng):
         model = make_model(perturb=0.3, dropout=0.4)
         shots = rng.integers(4, size=6)
-        post = forward_bayesian(model, shots, passes=20, rng=rng)
+        post = forward_bayesian([model], shots, passes=20, rng=rng)
         assert abs(post.sum() - 1.0) < 1e-8
 
     def test_ensemble_entropy_jensen(self, rng):

@@ -44,6 +44,12 @@ class TestApplyGate:
         out = probe._apply_1q(amps, 3, np.eye(2, dtype=complex), 1)
         np.testing.assert_array_equal(out, amps)
 
+    @pytest.mark.parametrize("q", [2, 3, -1])
+    def test_bad_target_rejected(self, q):
+        # unchecked, q = n maps to tensor axis -1 and acts on qubit 0
+        with pytest.raises(IndexError):
+            probe._apply_1q(zero_state(2), 2, X, q)
+
     def test_non_unitary_rejected(self):
         # the readout basis is the only caller-supplied gate; it is checked
         with pytest.raises(ConfigurationError):
