@@ -1,7 +1,7 @@
 """Variational quantum sensing workbench with online conformal risk control."""
 
 from . import conformal, engine, estimator, probe
-from .engine import RunConfig, run_experiment, run_trial
+from .engine import RunConfig, run_trial
 from .estimator import SequentialPhaseEstimator, TrainConfig
 
 __version__ = "0.1.0"
@@ -12,7 +12,6 @@ __all__ = [
     "estimator",
     "probe",
     "RunConfig",
-    "run_experiment",
     "run_trial",
     "SequentialPhaseEstimator",
     "TrainConfig",

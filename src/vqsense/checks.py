@@ -85,10 +85,11 @@ def check_probe_logprob_grad(
     """Two-step finite-difference consistency of grad log p(s|x)."""
     rng = np.random.default_rng(seed)
     theta = probe.ProbeParams.random(2, rng)
-    basis = probe.MeasurementBasis.hadamard()
+    basis = probe.BASES["hadamard"]
     x = float(rng.uniform(0, np.pi))
-    g1, valid = probe.log_prob_grad_table(theta, x, basis, n=2, h=1e-5)
-    g2, _ = probe.log_prob_grad_table(theta, x, basis, n=2, h=1e-7)
+    valid = probe.measurement_distribution(theta, x, basis, 2) > probe.PROB_FLOOR
+    g1 = probe.log_prob_grad_table(theta, x, basis, n=2, h=1e-5)
+    g2 = probe.log_prob_grad_table(theta, x, basis, n=2, h=1e-7)
     if corrupt:
         g1 = g1 * 1.01
     max_rel = 0.0
@@ -114,7 +115,7 @@ def check_score_function_gradient(
     rng = np.random.default_rng(seed)
     n, layers, n_shots, m = 2, 2, 2, 10
     theta = probe.ProbeParams.random(layers, rng)
-    basis = probe.MeasurementBasis.hadamard()
+    basis = probe.BASES["hadamard"]
     x = float(probe.phase_grid(m)[3])
     lam, tau = float(np.log(m)), 0.5
 
@@ -143,12 +144,12 @@ def check_score_function_gradient(
         oracle[k] = (expected_g(up) - expected_g(dn)) / (2 * h)
 
     dist = probe.measurement_distribution(theta, x, basis, n)
-    table, valid = probe.log_prob_grad_table(theta, x, basis, n)
+    table = probe.log_prob_grad_table(theta, x, basis, n)
     baseline = expected_g(flat)
     samples = np.zeros((n_resamples, len(flat)))
     for i in range(n_resamples):
         shots = probe.sample_shots(dist, n_shots, rng)
-        if not all(valid[s] for s in shots):
+        if not all(dist[s] > probe.PROB_FLOOR for s in shots):
             continue
         g = g_table[tuple(int(s) for s in shots)]
         samples[i] = (g - baseline) * (table[shots[0]] + table[shots[1]])

@@ -5,13 +5,15 @@ Configs are flat key = value text files mirroring RunConfig field names
 values, which override defaults. Each flag's dest is its RunConfig field, and
 file and flag values go through the same per-field parser. Every run writes a
 manifest.json first, then per-trial JSONL records and an aggregate CSV, and
-finally rewrites the manifest with artifact checksums. Wall-clock timestamps
+finally rewrites the manifest with artifact checksums. Each file goes through
+a temp file and os.replace, so none is left half-written. Wall-clock timestamps
 go to a run.log sidecar so that every checksummed artifact is
 byte-reproducible from the config and seed alone.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -110,18 +112,28 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@contextlib.contextmanager
+def _atomic_open(path: Path, newline: str | None = None):
+    """Write through a temp file beside `path`, moved onto it only on success."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_manifest(out_dir: Path, payload: dict) -> Path:
-    """Write manifest.json atomically: a temp file in out_dir, then os.replace."""
     path = out_dir / "manifest.json"
-    tmp = out_dir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 
 def write_records(out_dir: Path, name: str, records: list[EpisodeRecord]) -> Path:
     path = out_dir / name
-    with path.open("w") as fh:
+    with _atomic_open(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
     return path
@@ -130,7 +142,7 @@ def write_records(out_dir: Path, name: str, records: list[EpisodeRecord]) -> Pat
 def write_aggregate_csv(out_dir: Path, name: str, curves_by_mode: dict) -> Path:
     """curves_by_mode: mode -> dict of arrays from engine.aggregate()."""
     path = out_dir / name
-    with path.open("w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "mode", "mean_coverage", "mean_set_size", "mean_lambda"])
         for mode, curves in curves_by_mode.items():
@@ -148,15 +160,9 @@ def write_checkpoint(path: Path, header: str, values: np.ndarray) -> Path:
     """One-line shape header, then whitespace-separated decimals."""
     lines = [header]
     lines.extend(repr(float(v)) for v in np.asarray(values, dtype=float).reshape(-1))
-    path.write_text("\n".join(lines) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
     return path
-
-
-def read_checkpoint(path: Path) -> tuple[str, np.ndarray]:
-    text = Path(path).read_text().splitlines()
-    header = text[0]
-    values = np.array([float(v) for v in " ".join(text[1:]).split()])
-    return header, values
 
 
 def _manifest_base(cfg: RunConfig, command: str, extra: dict | None = None) -> dict:

@@ -22,10 +22,6 @@ from .probe import MAX_QUBITS, ConfigurationError
 MODES = ("dynamic", "static", "static-threshold", "static-probe-estimator")
 LOSS_KINDS = ("coverage", "distance")
 PHASE_PROCESSES = ("iid", "drift")
-BASES = {
-    "hadamard": probe.MeasurementBasis.hadamard,
-    "computational": probe.MeasurementBasis.computational,
-}
 TRIAL_SEED_STRIDE = 9973
 
 
@@ -70,14 +66,14 @@ class RunConfig:
             ("loss_kind", self.loss_kind in LOSS_KINDS, f"must be one of {LOSS_KINDS}"),
             ("schedule", self.schedule in conformal.SCHEDULES,
              f"must be one of {conformal.SCHEDULES}"),
-            ("basis", self.basis in BASES, f"must be one of {tuple(BASES)}"),
+            ("basis", self.basis in probe.BASES, f"must be one of {tuple(probe.BASES)}"),
             ("phase_process", self.phase_process in PHASE_PROCESSES,
              f"must be one of {PHASE_PROCESSES}"),
             ("n", 2 <= self.n <= MAX_QUBITS, f"must be in [2, {MAX_QUBITS}]"),
             ("m", self.m >= 2, "must be >= 2"),
             ("alpha", 0 < self.alpha < 1, "must be in (0, 1)"),
-            ("tau", self.tau > 0, "must be > 0"),
-            ("eta", self.eta > 0, "must be > 0"),
+            ("tau", 0 < self.tau < np.inf, "must be > 0 and finite"),
+            ("eta", 0 < self.eta < np.inf, "must be > 0 and finite"),
             ("dropout", 0 <= self.dropout < 1, "must be in [0, 1)"),
             ("decay", 0 < self.decay <= 1, "must be in (0, 1]"),
             ("lambda_init", self.lambda_init is None or np.isfinite(self.lambda_init),
@@ -85,7 +81,7 @@ class RunConfig:
         ]
         for name in ("eta_theta", "lr", "pretrain_lr", "l2", "seed",
                      "pretrain_epochs", "probe_pretrain_steps"):
-            rules.append((name, getattr(self, name) >= 0, "must be >= 0"))
+            rules.append((name, 0 <= getattr(self, name) < np.inf, "must be >= 0 and finite"))
         for name in ("layers", "shots", "horizon", "trials", "hidden_size",
                      "decay_every", "ensemble", "dropout_passes", "pretrain_samples"):
             rules.append((name, getattr(self, name) >= 1, "must be >= 1"))
@@ -109,9 +105,6 @@ class RunConfig:
             decay=self.decay,
             decay_every=self.decay_every,
         )
-
-    def make_basis(self) -> probe.MeasurementBasis:
-        return BASES[self.basis]()
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -145,7 +138,7 @@ class RunState:
     theta: probe.ProbeParams
     models: list[SequentialPhaseEstimator]
     thr: conformal.ThresholdState
-    basis: probe.MeasurementBasis
+    basis: np.ndarray  # readout unitary, an entry of probe.BASES
     grid: np.ndarray
     rng: np.random.Generator
     fixed_lam: float | None = None  # set for static / static-threshold modes
@@ -200,7 +193,7 @@ def init_state(cfg: RunConfig, seed: int) -> RunState:
         theta=theta,
         models=models,
         thr=thr,
-        basis=cfg.make_basis(),
+        basis=probe.BASES[cfg.basis],
         grid=probe.phase_grid(cfg.m),
         rng=rng,
     )
@@ -251,7 +244,7 @@ def pretrain_run(state: RunState) -> list[tuple[np.ndarray, int]]:
         g = conformal.soft_set_size(scores, lam, cfg.tau)
         baseline = g_sum / g_count if g_count else g
         state.theta, _ = probe_grad_step(
-            state.theta, shots, g, baseline, x_value, state.basis, cfg
+            state.theta, shots, dist, g, baseline, x_value, state.basis, cfg
         )
         g_sum += g
         g_count += 1
@@ -261,22 +254,24 @@ def pretrain_run(state: RunState) -> list[tuple[np.ndarray, int]]:
 def probe_grad_step(
     theta: probe.ProbeParams,
     shots: np.ndarray,
+    dist: np.ndarray,
     g_value: float,
     baseline: float,
     x_value: float,
-    basis: probe.MeasurementBasis,
+    basis: np.ndarray,
     cfg: RunConfig,
 ) -> tuple[probe.ProbeParams, bool]:
     """theta <- theta - eta_theta * (G - b) * sum_l grad log p(s_l | x).
 
-    Returns the new angles and a flag that is True when any shot was skipped.
+    Shots s with dist[s] <= probe.PROB_FLOOR are skipped; returns the new
+    angles and a flag that is True when any shot was skipped.
     """
     if cfg.eta_theta == 0.0:
         return theta, False
-    table, valid = probe.log_prob_grad_table(theta, x_value, basis, cfg.n)
-    usable = [s for s in shots if valid[s]]
+    usable = [s for s in shots if dist[s] > probe.PROB_FLOOR]
     if not usable:
         return theta, True
+    table = probe.log_prob_grad_table(theta, x_value, basis, cfg.n)
     grad_logp = np.sum(table[usable], axis=0)
     ghat = (g_value - baseline) * grad_logp
     if not np.all(np.isfinite(ghat)):
@@ -311,7 +306,7 @@ def sense_step(state: RunState, x_index: int) -> EpisodeRecord:
             skipped = skipped or not ok
         baseline = state.g_sum / state.g_count if state.g_count else g
         state.theta, probe_skip = probe_grad_step(
-            state.theta, shots, g, baseline, x_value, state.basis, cfg
+            state.theta, shots, dist, g, baseline, x_value, state.basis, cfg
         )
         skipped = skipped or probe_skip
     state.g_sum += g
@@ -358,14 +353,6 @@ def run_trial(cfg: RunConfig, seed: int, pretrain: bool = True) -> list[EpisodeR
 
 def trial_seed(cfg: RunConfig, trial: int) -> int:
     return cfg.seed + trial * TRIAL_SEED_STRIDE
-
-
-def run_experiment(cfg: RunConfig, pretrain: bool = True) -> list[list[EpisodeRecord]]:
-    """Independent trials with derived seeds; returns per-trial records."""
-    return [
-        run_trial(cfg, trial_seed(cfg, i), pretrain=pretrain)
-        for i in range(cfg.trials)
-    ]
 
 
 def aggregate(trials: list[list[EpisodeRecord]]) -> dict[str, np.ndarray]:

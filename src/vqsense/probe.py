@@ -11,7 +11,8 @@ the diagonal phase channel would be invisible to the measurement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,18 +26,6 @@ class ConfigurationError(ValueError):
     """Raised for invalid register sizes, configs or model dimensions."""
 
 
-@dataclass
-class StateVector:
-    """Pure state of an n-qubit register.
-
-    amps[s] is the amplitude of computational-basis state |s>, with qubit 0
-    stored in the least-significant bit of s.
-    """
-
-    n: int
-    amps: np.ndarray
-
-
 def rz_matrix(angle: float) -> np.ndarray:
     return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
 
@@ -46,14 +35,11 @@ def ry_matrix(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def hadamard_matrix() -> np.ndarray:
-    return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-
-def zz_matrix(angle: float) -> np.ndarray:
-    """exp(-i angle Z.Z / 2), diagonal in the computational basis."""
-    p, m = np.exp(-0.5j * angle), np.exp(0.5j * angle)
-    return np.diag([p, m, m, p])
+# Readout basis changes, applied to every qubit before computational readout.
+BASES = {
+    "hadamard": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "computational": np.eye(2, dtype=complex),
+}
 
 
 @dataclass
@@ -75,10 +61,6 @@ class ProbeParams:
         if not np.all(np.isfinite(self.angles)):
             raise ConfigurationError("probe angles must be finite")
 
-    @property
-    def layers(self) -> int:
-        return self.angles.shape[0]
-
     def flat(self) -> np.ndarray:
         return self.angles.reshape(-1).copy()
 
@@ -94,28 +76,6 @@ class ProbeParams:
         return cls(rng.uniform(-scale, scale, size=(layers, ANGLES_PER_LAYER)))
 
 
-@dataclass
-class MeasurementBasis:
-    """Fixed pre-measurement unitary applied to every qubit before readout."""
-
-    unitary: np.ndarray = field(default_factory=hadamard_matrix)
-    name: str = "hadamard"
-
-    def __post_init__(self):
-        self.unitary = np.asarray(self.unitary, dtype=complex)
-        ident = np.eye(2)
-        if not np.allclose(self.unitary.conj().T @ self.unitary, ident, atol=1e-10):
-            raise ConfigurationError("measurement basis unitary is not unitary")
-
-    @classmethod
-    def hadamard(cls) -> "MeasurementBasis":
-        return cls(hadamard_matrix(), "hadamard")
-
-    @classmethod
-    def computational(cls) -> "MeasurementBasis":
-        return cls(np.eye(2, dtype=complex), "computational")
-
-
 def phase_grid(m: int) -> np.ndarray:
     """M equally spaced candidate phases spanning [0, pi]."""
     if m < 2:
@@ -123,26 +83,16 @@ def phase_grid(m: int) -> np.ndarray:
     return np.linspace(0.0, np.pi, m)
 
 
-# Per-register-size caches for the hot simulation path. popcount[n][s] is the
-# number of set bits in s; ring_sign[n][s] is sum over ring pairs (q, q+1 mod n)
-# of the ZZ eigenvalue (-1)^(b_q xor b_{q+1}) on basis state s.
-_POPCOUNT: dict[int, np.ndarray] = {}
-_RING_SIGN: dict[int, np.ndarray] = {}
+@functools.cache
+def _bit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(popcount, ring_sign) of every basis state s < 2**n, computed once per n.
 
-
-def _popcount(n: int) -> np.ndarray:
-    if n not in _POPCOUNT:
-        _POPCOUNT[n] = np.array([bin(s).count("1") for s in range(2**n)])
-    return _POPCOUNT[n]
-
-
-def _ring_sign(n: int) -> np.ndarray:
-    if n not in _RING_SIGN:
-        s = np.arange(2**n)
-        bits = (s[:, None] >> np.arange(n)) & 1
-        xor = bits ^ np.roll(bits, -1, axis=1)
-        _RING_SIGN[n] = np.sum(1 - 2 * xor, axis=1)
-    return _RING_SIGN[n]
+    ring_sign[s] sums the ZZ eigenvalue (-1)^(b_q xor b_{q+1}) over ring pairs.
+    """
+    s = np.arange(2**n)
+    bits = (s[:, None] >> np.arange(n)) & 1
+    ring_sign = np.sum(1 - 2 * (bits ^ np.roll(bits, -1, axis=1)), axis=1)
+    return np.sum(bits, axis=1), ring_sign
 
 
 def _apply_1q(amps: np.ndarray, n: int, mat: np.ndarray, q: int) -> np.ndarray:
@@ -154,43 +104,36 @@ def _apply_1q(amps: np.ndarray, n: int, mat: np.ndarray, q: int) -> np.ndarray:
     return np.moveaxis(t, 0, axis).reshape(-1)
 
 
-def prepare_probe(theta: ProbeParams, n: int) -> StateVector:
-    """Run the layered ansatz on |0...0>, producing the probe state."""
+def prepare_probe(theta: ProbeParams, n: int) -> np.ndarray:
+    """Run the layered ansatz on |0...0>; returns the 2**n probe amplitudes.
+
+    amps[s] is the amplitude of |s>, with qubit 0 in the least-significant bit.
+    """
     if not 2 <= n <= MAX_QUBITS:
         raise ConfigurationError(f"probe circuit needs 2 <= n <= {MAX_QUBITS}, got {n}")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
-    ring = _ring_sign(n)
+    ring = _bit_tables(n)[1]
     for a, b, c, g in theta.angles:
         single = rz_matrix(a) @ ry_matrix(b) @ rz_matrix(c)
         for q in range(n):
             amps = _apply_1q(amps, n, single, q)
         # the ring of shared ZZ gates is one diagonal phase per basis state
         amps = amps * np.exp(-0.5j * g * ring)
-    return StateVector(n, amps)
-
-
-def apply_phase_channel(state: StateVector, x: float) -> StateVector:
-    """Multiply amplitude s by e^{i x popcount(s)} (local diag(1, e^{ix}))."""
-    phases = np.exp(1j * x * _popcount(state.n))
-    return StateVector(state.n, state.amps * phases)
-
-
-def apply_measurement_basis(state: StateVector, basis: MeasurementBasis) -> StateVector:
-    amps = state.amps
-    for q in range(state.n):
-        amps = _apply_1q(amps, state.n, basis.unitary, q)
-    return StateVector(state.n, amps)
+    return amps
 
 
 def measurement_distribution(
-    theta: ProbeParams, x: float, basis: MeasurementBasis, n: int
+    theta: ProbeParams, x: float, basis: np.ndarray, n: int
 ) -> np.ndarray:
-    """Outcome distribution of probe -> phase channel -> basis change -> readout."""
-    state = prepare_probe(theta, n)
-    state = apply_phase_channel(state, x)
-    state = apply_measurement_basis(state, basis)
-    return np.abs(state.amps) ** 2
+    """Outcome distribution of probe -> phase channel -> basis change -> readout.
+
+    `basis` is a 2x2 unitary, an entry of BASES, applied to every qubit.
+    """
+    amps = prepare_probe(theta, n) * np.exp(1j * x * _bit_tables(n)[0])
+    for q in range(n):
+        amps = _apply_1q(amps, n, basis, q)
+    return np.abs(amps) ** 2
 
 
 def sample_shots(dist: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
@@ -209,20 +152,18 @@ def sample_shots(dist: np.ndarray, shots: int, rng: np.random.Generator) -> np.n
 def log_prob_grad_table(
     theta: ProbeParams,
     x: float,
-    basis: MeasurementBasis,
+    basis: np.ndarray,
     n: int,
     h: float = FD_STEP,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Central-difference gradients of log p(s|x) w.r.t. every probe angle.
 
-    Returns (grads, valid) where grads has shape (2**n, n_params) and
-    valid[s] is False for outcomes with probability below the floor; their
-    gradient rows are zeroed and must not be used.
+    Returns a (2**n, n_params) table. Row s is meaningful only where
+    p(s|x) > PROB_FLOOR; callers hold that distribution and must skip the
+    other rows.
     """
-    base = measurement_distribution(theta, x, basis, n)
-    valid = base > PROB_FLOOR
     flat = theta.flat()
-    grads = np.zeros((len(base), len(flat)))
+    grads = np.zeros((2**n, len(flat)))
     for k in range(len(flat)):
         plus = flat.copy()
         plus[k] += h
@@ -232,5 +173,5 @@ def log_prob_grad_table(
         p_minus = measurement_distribution(ProbeParams.from_flat(minus), x, basis, n)
         safe_p = np.maximum(p_plus, 1e-300)
         safe_m = np.maximum(p_minus, 1e-300)
-        grads[valid, k] = (np.log(safe_p[valid]) - np.log(safe_m[valid])) / (2 * h)
-    return grads, valid
+        grads[:, k] = (np.log(safe_p) - np.log(safe_m)) / (2 * h)
+    return grads

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from vqsense import checks, cli, conformal, probe
-from vqsense.engine import RunConfig, aggregate, run_experiment, run_trial
-from vqsense.probe import MeasurementBasis, ProbeParams, phase_grid
+from vqsense.engine import RunConfig, aggregate, run_trial, trial_seed
+from vqsense.probe import BASES, ProbeParams, phase_grid
 
 import conftest
 from conftest import dense_embed, random_gate, zero_state
-from test_probe import probe_state_oracle
+from test_probe import distribution_oracle, probe_state_oracle
 
 
 def _verdict(num, label, ok, detail=""):
@@ -25,6 +25,11 @@ def _verdict(num, label, ok, detail=""):
     print(line)
     conftest.VERDICTS.append(line)
     return ok
+
+
+def run_experiment(cfg: RunConfig) -> list:
+    """cfg.trials independent trials with the CLI's derived seeds."""
+    return [run_trial(cfg, trial_seed(cfg, i)) for i in range(cfg.trials)]
 
 
 _CACHE: dict = {}
@@ -135,13 +140,13 @@ class TestCriterion4BenchmarkOrdering:
 
 class TestCriterion5SimulatorOracles:
     def test_analytic_magnetometer(self):
+        # two unentangled Ry(pi/2)|0> qubits read in the X basis: each has
+        # P(0) = cos^2(x/2), so P(00) = cos^4(x/2)
+        theta = ProbeParams([[0.0, np.pi / 2, 0.0, 0.0]])
         worst = 0.0
         for x in phase_grid(10):
-            amps = probe.ry_matrix(np.pi / 2) @ np.array([1, 0], dtype=complex)
-            state = probe.apply_phase_channel(probe.StateVector(1, amps), x)
-            state = probe.apply_measurement_basis(state, MeasurementBasis.hadamard())
-            p0 = abs(state.amps[0]) ** 2
-            worst = max(worst, abs(p0 - np.cos(x / 2) ** 2))
+            dist = probe.measurement_distribution(theta, x, BASES["hadamard"], 2)
+            worst = max(worst, abs(dist[0] - np.cos(x / 2) ** 4))
         ok = worst < 1e-10
         assert _verdict(
             5, "analytic magnetometer", ok, f"max_err={worst:.3e}"
@@ -163,20 +168,18 @@ class TestCriterion5SimulatorOracles:
         for n in (2, 3):
             theta = ProbeParams.random(3, rng)
             x = rng.uniform(0, np.pi)
-            state = probe.apply_phase_channel(probe.prepare_probe(theta, n), x)
             amps = probe_state_oracle(theta, n)
-            phases = np.array(
-                [np.exp(1j * x * bin(s).count("1")) for s in range(2**n)]
-            )
-            worst = max(worst, np.max(np.abs(state.amps - amps * phases)))
+            worst = max(worst, np.max(np.abs(probe.prepare_probe(theta, n) - amps)))
+            dist = probe.measurement_distribution(theta, x, BASES["hadamard"], n)
+            oracle = distribution_oracle(theta, x, BASES["hadamard"], n)
+            worst = max(worst, np.max(np.abs(dist - oracle)))
         ok = worst < 1e-10
         assert _verdict(5, "dense-matrix circuit oracle", ok, f"max_err={worst:.3e}")
 
     def test_sampling_tv_distance(self):
         rng = np.random.default_rng(11)
         theta = ProbeParams.random(4, rng)
-        basis = MeasurementBasis.hadamard()
-        dist = probe.measurement_distribution(theta, 1.1, basis, 4)
+        dist = probe.measurement_distribution(theta, 1.1, BASES["hadamard"], 4)
         shots = probe.sample_shots(dist, 100_000, np.random.default_rng(3))
         freqs = np.bincount(shots, minlength=dist.size) / shots.size
         tv = 0.5 * np.sum(np.abs(freqs - dist))

@@ -9,7 +9,6 @@ from vqsense.cli import (
     build_config,
     main,
     parse_config_file,
-    read_checkpoint,
     write_checkpoint,
     ConfigFileError,
 )
@@ -34,6 +33,12 @@ def fast_cfg_file(tmp_path):
     path = tmp_path / "fast.cfg"
     path.write_text(FAST_CONFIG)
     return path
+
+
+def read_checkpoint(path):
+    """Inverse of cli.write_checkpoint: (header, values)."""
+    text = path.read_text().splitlines()
+    return text[0], np.array([float(v) for v in " ".join(text[1:]).split()])
 
 
 def artifact_digests(out_dir, skip=("run.log",)):
@@ -99,7 +104,7 @@ class TestExitCodes:
 
     def test_invalid_value_range_exits_2(self, fast_cfg_file, tmp_path, capsys):
         for flag, value in (("--alpha", "1.5"), ("--eta", "-1"), ("--tau", "0"),
-                            ("--eta-theta", "-0.5"), ("--T", "0")):
+                            ("--eta-theta", "-0.5"), ("--T", "0"), ("--eta", "inf")):
             out = tmp_path / "o"
             rc = main(["run", "--config", str(fast_cfg_file), flag, value,
                        "--out-dir", str(out)])
@@ -145,6 +150,27 @@ class TestRunArtifacts:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "interrupted"
         assert {p.name for p in out.iterdir()} == {"manifest.json", "run.log"}
+
+    def test_failed_write_leaves_final_name_untouched(self, tmp_path):
+        class Record:
+            def __init__(self, t):
+                self.t = t
+
+            def to_dict(self):
+                if self.t < 0:
+                    raise RuntimeError("write failed")
+                return {"t": self.t}
+
+        path = cli.write_records(tmp_path, "trial_0.jsonl", [Record(1)])
+        before = path.read_bytes()
+        # the second record fails after the first line is written
+        with pytest.raises(RuntimeError):
+            cli.write_records(tmp_path, "trial_0.jsonl", [Record(2), Record(-1)])
+        assert path.read_bytes() == before
+        # the curves lack a column, so the CSV fails after its header row
+        with pytest.raises(KeyError):
+            cli.write_aggregate_csv(tmp_path, "aggregate.csv", {"dynamic": {"t": [1]}})
+        assert [p.name for p in tmp_path.iterdir()] == ["trial_0.jsonl"]
 
     def test_determinism_byte_identical(self, fast_cfg_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

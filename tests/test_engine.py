@@ -64,7 +64,9 @@ class TestRunConfig:
             ("decay_every", 0), ("decay", 0.0), ("lr", -1.0), ("pretrain_lr", -1.0),
             ("l2", -1.0), ("seed", -1), ("lambda_init", float("nan")),
             ("pretrain_samples", 0), ("pretrain_epochs", -1),
-            ("probe_pretrain_steps", -1),
+            ("probe_pretrain_steps", -1), ("eta", float("inf")), ("tau", float("inf")),
+            ("lr", float("inf")), ("eta_theta", float("inf")), ("l2", float("inf")),
+            ("pretrain_lr", float("inf")),
         ],
     )
     def test_invalid_field_rejected(self, field, value):
@@ -128,27 +130,48 @@ class TestProbeGradStep:
     def test_zero_rate_no_change(self, rng):
         cfg = fast_config(eta_theta=0.0)
         theta = probe.ProbeParams.random(2, rng)
-        basis = probe.MeasurementBasis.hadamard()
-        out, _ = probe_grad_step(theta, np.array([0, 1]), 2.0, 1.0, 0.5, basis, cfg)
+        basis = probe.BASES["hadamard"]
+        dist = probe.measurement_distribution(theta, 0.5, basis, 2)
+        out, _ = probe_grad_step(theta, np.array([0, 1]), dist, 2.0, 1.0, 0.5, basis, cfg)
         np.testing.assert_array_equal(out.flat(), theta.flat())
 
     def test_zero_advantage_no_change(self, rng):
         cfg = fast_config()
         theta = probe.ProbeParams.random(2, rng)
-        basis = probe.MeasurementBasis.hadamard()
-        out, _ = probe_grad_step(theta, np.array([0, 1]), 3.0, 3.0, 0.5, basis, cfg)
+        basis = probe.BASES["hadamard"]
+        dist = probe.measurement_distribution(theta, 0.5, basis, 2)
+        out, _ = probe_grad_step(theta, np.array([0, 1]), dist, 3.0, 3.0, 0.5, basis, cfg)
         np.testing.assert_allclose(out.flat(), theta.flat(), atol=1e-15)
 
     def test_all_shots_degenerate_flags(self):
         cfg = fast_config(basis="computational")
         theta = probe.ProbeParams(np.zeros((2, 4)))
-        basis = probe.MeasurementBasis.computational()
+        basis = probe.BASES["computational"]
+        dist = probe.measurement_distribution(theta, 0.5, basis, 2)
         # outcome 3 has probability 0 under the all-zero-angle probe
         out, flagged = probe_grad_step(
-            theta, np.array([3, 3]), 2.0, 1.0, 0.5, basis, cfg
+            theta, np.array([3, 3]), dist, 2.0, 1.0, 0.5, basis, cfg
         )
         assert flagged
         np.testing.assert_array_equal(out.flat(), theta.flat())
+
+    def test_zero_probability_shot_flagged_and_ignored(self):
+        # |++> with a ZZ phase g, read in the Hadamard basis at x = 0, gives
+        # p = (cos^2 g, 0, 0, sin^2 g): outcome 1 is impossible, outcome 0 is not
+        cfg = fast_config(layers=1)
+        theta = probe.ProbeParams([[0.0, np.pi / 2, 0.0, 0.3]])
+        basis = probe.BASES["hadamard"]
+        dist = probe.measurement_distribution(theta, 0.0, basis, 2)
+        assert dist[1] <= probe.PROB_FLOOR < dist[0]
+        alone, flag_alone = probe_grad_step(
+            theta, np.array([0]), dist, 2.0, 1.0, 0.0, basis, cfg
+        )
+        mixed, flag_mixed = probe_grad_step(
+            theta, np.array([0, 1]), dist, 2.0, 1.0, 0.0, basis, cfg
+        )
+        assert not flag_alone and flag_mixed
+        assert not np.array_equal(alone.flat(), theta.flat())
+        np.testing.assert_array_equal(mixed.flat(), alone.flat())
 
 
 class TestPretrainRun:
