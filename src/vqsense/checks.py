@@ -82,21 +82,31 @@ def check_soft_size_grad(
 def check_probe_logprob_grad(
     seed: int = 0, tol: float = 1e-3, corrupt: bool = False
 ) -> dict:
-    """Two-step finite-difference consistency of grad log p(s|x)."""
+    """Adjoint grad of sum_s counts[s] log p(s|x) vs the finite-difference table.
+
+    Runs one-hot counts for every outcome with p(s|x) > PROB_FLOOR, then one
+    multi-shot counts vector with repeated outcomes.
+    """
     rng = np.random.default_rng(seed)
+    n = 2
     theta = probe.ProbeParams.random(2, rng)
     basis = probe.BASES["hadamard"]
     x = float(rng.uniform(0, np.pi))
-    valid = probe.measurement_distribution(theta, x, basis, 2) > probe.PROB_FLOOR
-    g1 = probe.log_prob_grad_table(theta, x, basis, n=2, h=1e-5)
-    g2 = probe.log_prob_grad_table(theta, x, basis, n=2, h=1e-7)
-    if corrupt:
-        g1 = g1 * 1.01
+    dist = probe.measurement_distribution(theta, x, basis, n)
+    valid = np.flatnonzero(dist > probe.PROB_FLOOR)
+    table = probe.log_prob_grad_table(theta, x, basis, n)
+    count_vectors = [np.bincount([s], minlength=2**n) for s in valid]
+    # more shots than outcomes, so some outcome repeats
+    count_vectors.append(np.bincount(rng.choice(valid, size=2**n + 4), minlength=2**n))
     max_rel = 0.0
-    for s in np.flatnonzero(valid):
-        for k in range(g1.shape[1]):
-            if abs(g2[s, k]) > 1e-6:
-                max_rel = max(max_rel, abs(g1[s, k] - g2[s, k]) / abs(g2[s, k]))
+    for counts in count_vectors:
+        adjoint = probe.log_prob_grad(theta, x, basis, n, counts)
+        if corrupt:
+            adjoint = adjoint * 1.01
+        numeric = counts[valid] @ table[valid]
+        big = np.abs(numeric) > 1e-6
+        rel = np.abs(adjoint[big] - numeric[big]) / np.abs(numeric[big])
+        max_rel = max(max_rel, float(rel.max(initial=0.0)))
     return {"name": "probe_logprob_grad", "max_rel_error": max_rel, "tol": tol,
             "passed": bool(max_rel <= tol)}
 
@@ -144,7 +154,10 @@ def check_score_function_gradient(
         oracle[k] = (expected_g(up) - expected_g(dn)) / (2 * h)
 
     dist = probe.measurement_distribution(theta, x, basis, n)
-    table = probe.log_prob_grad_table(theta, x, basis, n)
+    table = {
+        s: probe.log_prob_grad(theta, x, basis, n, np.bincount([s], minlength=2**n))
+        for s in np.flatnonzero(dist > probe.PROB_FLOOR)
+    }
     baseline = expected_g(flat)
     samples = np.zeros((n_resamples, len(flat)))
     for i in range(n_resamples):

@@ -11,7 +11,7 @@ running mean of G as baseline.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -61,6 +61,12 @@ class RunConfig:
 
     def __post_init__(self):
         """Reject every invalid field up front, before any artifact is written."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (
+                isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            ):
+                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
         rules = [
             ("mode", self.mode in MODES, f"must be one of {MODES}"),
             ("loss_kind", self.loss_kind in LOSS_KINDS, f"must be one of {LOSS_KINDS}"),
@@ -271,8 +277,9 @@ def probe_grad_step(
     usable = [s for s in shots if dist[s] > probe.PROB_FLOOR]
     if not usable:
         return theta, True
-    table = probe.log_prob_grad_table(theta, x_value, basis, cfg.n)
-    grad_logp = np.sum(table[usable], axis=0)
+    grad_logp = probe.log_prob_grad(
+        theta, x_value, basis, cfg.n, np.bincount(usable, minlength=2**cfg.n)
+    )
     ghat = (g_value - baseline) * grad_logp
     if not np.all(np.isfinite(ghat)):
         return theta, True

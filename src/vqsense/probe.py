@@ -104,15 +104,13 @@ def _apply_1q(amps: np.ndarray, n: int, mat: np.ndarray, q: int) -> np.ndarray:
     return np.moveaxis(t, 0, axis).reshape(-1)
 
 
-def prepare_probe(theta: ProbeParams, n: int) -> np.ndarray:
-    """Run the layered ansatz on |0...0>; returns the 2**n probe amplitudes.
-
-    amps[s] is the amplitude of |s>, with qubit 0 in the least-significant bit.
-    """
+def _layer_states(theta: ProbeParams, n: int) -> list[np.ndarray]:
+    """Amplitudes entering each layer of the ansatz, then the probe output."""
     if not 2 <= n <= MAX_QUBITS:
         raise ConfigurationError(f"probe circuit needs 2 <= n <= {MAX_QUBITS}, got {n}")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
+    states = [amps]
     ring = _bit_tables(n)[1]
     for a, b, c, g in theta.angles:
         single = rz_matrix(a) @ ry_matrix(b) @ rz_matrix(c)
@@ -120,6 +118,25 @@ def prepare_probe(theta: ProbeParams, n: int) -> np.ndarray:
             amps = _apply_1q(amps, n, single, q)
         # the ring of shared ZZ gates is one diagonal phase per basis state
         amps = amps * np.exp(-0.5j * g * ring)
+        states.append(amps)
+    return states
+
+
+def prepare_probe(theta: ProbeParams, n: int) -> np.ndarray:
+    """Run the layered ansatz on |0...0>; returns the 2**n probe amplitudes.
+
+    amps[s] is the amplitude of |s>, with qubit 0 in the least-significant bit.
+    """
+    return _layer_states(theta, n)[-1]
+
+
+def _readout_amplitudes(
+    amps: np.ndarray, x: float, basis: np.ndarray, n: int
+) -> np.ndarray:
+    """Probe amplitudes -> phase channel -> basis change on every qubit."""
+    amps = amps * np.exp(1j * x * _bit_tables(n)[0])
+    for q in range(n):
+        amps = _apply_1q(amps, n, basis, q)
     return amps
 
 
@@ -130,10 +147,7 @@ def measurement_distribution(
 
     `basis` is a 2x2 unitary, an entry of BASES, applied to every qubit.
     """
-    amps = prepare_probe(theta, n) * np.exp(1j * x * _bit_tables(n)[0])
-    for q in range(n):
-        amps = _apply_1q(amps, n, basis, q)
-    return np.abs(amps) ** 2
+    return np.abs(_readout_amplitudes(prepare_probe(theta, n), x, basis, n)) ** 2
 
 
 def sample_shots(dist: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
@@ -160,7 +174,7 @@ def log_prob_grad_table(
 
     Returns a (2**n, n_params) table. Row s is meaningful only where
     p(s|x) > PROB_FLOOR; callers hold that distribution and must skip the
-    other rows.
+    other rows. This is the reference that log_prob_grad is checked against.
     """
     flat = theta.flat()
     grads = np.zeros((2**n, len(flat)))
@@ -175,3 +189,55 @@ def log_prob_grad_table(
         safe_m = np.maximum(p_minus, 1e-300)
         grads[:, k] = (np.log(safe_p) - np.log(safe_m)) / (2 * h)
     return grads
+
+
+_PAULI_Y = np.array([[0, -1j], [1j, 0]])
+
+
+def log_prob_grad(
+    theta: ProbeParams,
+    x: float,
+    basis: np.ndarray,
+    n: int,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """Exact gradient of sum_s counts[s] * log p(s|x) w.r.t. the flat angles.
+
+    Adjoint differentiation (Jones & Gacon 2020, arXiv 2009.02823): one
+    forward pass keeps each layer's input amplitudes, then the adjoint
+    lam = counts * omega / p of the readout amplitudes omega walks back
+    through readout, phase channel and layers. A gate exp(-i angle G / 2)
+    contributes Im <lam|G|psi> at the point it acts, where G sums the
+    generator over the n places the shared angle is applied: sum_q Z_q
+    (diagonal n - 2 popcount) for the Rz angles, sum_q Y_q for Ry, and the
+    ring-sign table for ZZ. counts must be 0 wherever p(s|x) is 0.
+    """
+    states = _layer_states(theta, n)
+    popcount, ring = _bit_tables(n)
+    z = n - 2 * popcount
+    omega = _readout_amplitudes(states[-1], x, basis, n)
+    lam = np.divide(
+        counts * omega, np.abs(omega) ** 2, out=np.zeros_like(omega), where=counts != 0
+    )
+    undo_basis = basis.conj().T
+    for q in range(n):
+        lam = _apply_1q(lam, n, undo_basis, q)
+    lam = lam * np.exp(-1j * x * popcount)
+    grads = np.zeros_like(theta.angles)
+    for k in reversed(range(len(theta.angles))):
+        a, b, c, g = theta.angles[k]
+        psi = states[k + 1]
+        # Rz(a) and the ZZ ring are diagonal, so both read at the layer output
+        overlap = np.conj(lam) * psi
+        grads[k, 0] = np.imag(overlap @ z)
+        grads[k, 3] = np.imag(overlap @ ring)
+        undo = np.exp(0.5j * (a * z + g * ring))
+        lam, psi = lam * undo, psi * undo
+        y_psi = sum(_apply_1q(psi, n, _PAULI_Y, q) for q in range(n))
+        grads[k, 1] = np.imag(np.vdot(lam, y_psi))
+        undo_ry = ry_matrix(-b)
+        for q in range(n):
+            lam = _apply_1q(lam, n, undo_ry, q)
+        lam = lam * np.exp(0.5j * c * z)
+        grads[k, 2] = np.imag(np.vdot(lam, z * states[k]))
+    return grads.reshape(-1)

@@ -66,7 +66,8 @@ class TestRunConfig:
             ("pretrain_samples", 0), ("pretrain_epochs", -1),
             ("probe_pretrain_steps", -1), ("eta", float("inf")), ("tau", float("inf")),
             ("lr", float("inf")), ("eta_theta", float("inf")), ("l2", float("inf")),
-            ("pretrain_lr", float("inf")),
+            ("pretrain_lr", float("inf")), ("horizon", 6.5), ("n", 2.0),
+            ("shots", True),
         ],
     )
     def test_invalid_field_rejected(self, field, value):
@@ -172,6 +173,20 @@ class TestProbeGradStep:
         assert not flag_alone and flag_mixed
         assert not np.array_equal(alone.flat(), theta.flat())
         np.testing.assert_array_equal(mixed.flat(), alone.flat())
+
+
+    def test_matches_fd_table_update(self, rng):
+        cfg = fast_config(n=3, eta_theta=0.5)
+        theta = probe.ProbeParams.random(2, rng)
+        basis = probe.BASES["hadamard"]
+        dist = probe.measurement_distribution(theta, 0.9, basis, 3)
+        shots = np.argsort(dist)[::-1][[0, 0, 1]]  # the likeliest outcome twice
+        out, flagged = probe_grad_step(theta, shots, dist, 2.5, 1.0, 0.9, basis, cfg)
+        table = probe.log_prob_grad_table(theta, 0.9, basis, 3)
+        expected = theta.flat() - 0.5 * 1.5 * table[shots].sum(axis=0)
+        assert not flagged
+        assert np.max(np.abs(out.flat() - theta.flat())) > 1e-3
+        np.testing.assert_allclose(out.flat(), expected, rtol=0, atol=1e-9)
 
 
 class TestPretrainRun:

@@ -209,3 +209,39 @@ class TestLogProbGrad:
         theta = ProbeParams(np.zeros((2, 4)))
         grads = probe.log_prob_grad_table(theta, 0.5, BASES["computational"], 2)
         np.testing.assert_allclose(grads[0], 0.0, atol=1e-6)
+        adjoint = probe.log_prob_grad(
+            theta, 0.5, BASES["computational"], 2, np.array([3, 0, 0, 0])
+        )
+        np.testing.assert_allclose(adjoint, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("basis_name", sorted(BASES))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_adjoint_matches_fd_table(self, rng, n, basis_name):
+        basis = BASES[basis_name]
+        for _ in range(3):
+            theta = ProbeParams.random(3, rng)
+            x = float(rng.uniform(0, np.pi))
+            dist = probe.measurement_distribution(theta, x, basis, n)
+            valid = np.flatnonzero(dist > probe.PROB_FLOOR)
+            # more shots than outcomes, so some outcome repeats
+            shots = rng.choice(valid, size=2**n + 3)
+            adjoint = probe.log_prob_grad(
+                theta, x, basis, n, np.bincount(shots, minlength=2**n)
+            )
+            numeric = probe.log_prob_grad_table(theta, x, basis, n)[shots].sum(axis=0)
+            np.testing.assert_allclose(
+                adjoint, numeric, rtol=1e-6, atol=1e-6 * np.abs(numeric).max()
+            )
+
+    def test_zero_counts_give_zero(self, rng):
+        theta = ProbeParams.random(2, rng)
+        grad = probe.log_prob_grad(theta, 0.7, BASES["hadamard"], 3, np.zeros(8, int))
+        np.testing.assert_array_equal(grad, np.zeros(8))
+
+    def test_additive_in_counts(self, rng):
+        theta = ProbeParams.random(3, rng)
+        basis = BASES["hadamard"]
+        first, second = rng.integers(0, 4, size=(2, 8))
+        whole = probe.log_prob_grad(theta, 1.1, basis, 3, first + second)
+        parts = sum(probe.log_prob_grad(theta, 1.1, basis, 3, c) for c in (first, second))
+        np.testing.assert_allclose(whole, parts, rtol=1e-12, atol=1e-12 * np.abs(whole).max())

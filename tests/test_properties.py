@@ -1,6 +1,7 @@
 """Property tests: the threshold update's telescoping identity and the
 all-or-ConfigurationError contract of RunConfig validation, under which every
-float field of a config that constructs is finite."""
+float field of a config that constructs is finite and every int field holds
+an int."""
 import dataclasses
 import math
 
@@ -39,7 +40,7 @@ def test_threshold_update_telescopes(schedule, l_max, eta, alpha, lam, fractions
 # the non-finite values get a branch of their own so they are drawn often
 WIDE_FLOAT = st.sampled_from([math.inf, -math.inf, math.nan]) | st.floats()
 STRATEGY_BY_TYPE = {
-    "int": st.integers(-(10**12), 10**12),
+    "int": st.integers(-(10**12), 10**12) | st.booleans() | WIDE_FLOAT,
     "float": WIDE_FLOAT,
     "float | None": st.none() | WIDE_FLOAT,
 }
@@ -49,6 +50,7 @@ NUMERIC_FIELDS = {
     if f.type in STRATEGY_BY_TYPE
 }
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if "float" in f.type]
+INT_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.type == "int"]
 # Few fields at a time: with many wide-ranged fields set at once nearly every
 # draw is rejected by some field, and a bad value in a config that otherwise
 # constructs is never reached.
@@ -67,3 +69,5 @@ def test_run_config_constructs_or_raises_configuration_error(fields):
     for name in FLOAT_FIELDS:
         value = getattr(cfg, name)
         assert value is None or math.isfinite(value), name
+    for name in INT_FIELDS:
+        assert type(getattr(cfg, name)) is int, name
