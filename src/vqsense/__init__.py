@@ -2,7 +2,7 @@
 
 from . import conformal, engine, estimator, probe
 from .engine import RunConfig, run_trial
-from .estimator import SequentialPhaseEstimator, TrainConfig
+from .estimator import SequentialPhaseEstimator
 
 __version__ = "0.1.0"
 
@@ -14,6 +14,5 @@ __all__ = [
     "RunConfig",
     "run_trial",
     "SequentialPhaseEstimator",
-    "TrainConfig",
     "__version__",
 ]

@@ -104,15 +104,6 @@ def soft_set_size(scores: np.ndarray, lam: float, tau: float) -> float:
     return float(np.sum(sigmoid(-(scores - lam) / tau)))
 
 
-def soft_size_grad_scores(scores: np.ndarray, lam: float, tau: float) -> np.ndarray:
-    """d(soft size)/d(score_i) = -sig(z_i)(1 - sig(z_i))/tau, always <= 0."""
-    if tau <= 0:
-        raise ConfigurationError("temperature tau must be > 0")
-    scores = np.asarray(scores, dtype=float)
-    s = sigmoid(-(scores - lam) / tau)
-    return -s * (1 - s) / tau
-
-
 def risk_bound(
     horizon: int, eta: float, schedule: str = "constant", l_max: float = 1.0
 ) -> float:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import conformal, probe
-from .estimator import SequentialPhaseEstimator, TrainConfig, forward_bayesian
+from .estimator import SequentialPhaseEstimator, forward_bayesian
 from .probe import MAX_QUBITS, ConfigurationError
 
 MODES = ("dynamic", "static", "static-threshold", "static-probe-estimator")
@@ -103,14 +103,6 @@ class RunConfig:
     @property
     def lambda_start(self) -> float:
         return float(np.log(self.m)) if self.lambda_init is None else self.lambda_init
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            lr=self.lr,
-            l2=self.l2,
-            decay=self.decay,
-            decay_every=self.decay_every,
-        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -235,9 +227,8 @@ def pretrain_run(state: RunState) -> list[tuple[np.ndarray, int]]:
     """
     cfg = state.cfg
     dataset = make_pretrain_dataset(state, cfg.pretrain_samples)
-    pre_cfg = TrainConfig(lr=cfg.pretrain_lr, l2=cfg.l2)
     for model in state.models:
-        model.fit(dataset, pre_cfg, cfg.pretrain_epochs, rng=state.rng)
+        model.fit(dataset, cfg.pretrain_lr, cfg.l2, cfg.pretrain_epochs, rng=state.rng)
 
     lam = cfg.lambda_start
     g_sum, g_count = 0.0, 0
@@ -307,9 +298,9 @@ def sense_step(state: RunState, x_index: int) -> EpisodeRecord:
     if state.updates_threshold:
         state.thr = conformal.update_threshold(state.thr, loss)
     if state.updates_params:
-        tc = cfg.train_config()
+        lr = cfg.lr * cfg.decay ** (state.steps // cfg.decay_every)
         for model in state.models:
-            ok = model.train_step(shots, x_index, tc, t=state.steps, rng=state.rng)
+            ok = model.train_step(shots, x_index, lr, cfg.l2, rng=state.rng)
             skipped = skipped or not ok
         baseline = state.g_sum / state.g_count if state.g_count else g
         state.theta, probe_skip = probe_grad_step(
@@ -343,7 +334,7 @@ def phase_sequence(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
     if cfg.phase_process == "iid":
         return rng.integers(cfg.m, size=cfg.horizon)
     t = np.arange(cfg.horizon)
-    pos = (cfg.m - 1) * 0.5 * (1 + np.sin(2 * np.pi * t / max(cfg.horizon, 1)))
+    pos = (cfg.m - 1) * 0.5 * (1 + np.sin(2 * np.pi * t / cfg.horizon))
     return np.round(pos).astype(np.int64)
 
 
@@ -367,14 +358,16 @@ def aggregate(trials: list[list[EpisodeRecord]]) -> dict[str, np.ndarray]:
     horizon = len(trials[0])
     if any(len(tr) != horizon for tr in trials):
         raise ValueError("trials have unequal lengths")
-    loss = np.array([[r.avg_loss for r in tr] for tr in trials])
+    # coverage from the sets themselves, whatever loss the run controlled
+    missed = np.array([[not r.set_mask[r.x_index] for r in tr] for tr in trials])
     size = np.array([[r.set_size for r in tr] for tr in trials])
-    # running mean of set size per trial, then averaged across trials
-    run_size = np.cumsum(size, axis=1) / np.arange(1, horizon + 1)
+    # running means per trial, then averaged across trials
+    steps = np.arange(1, horizon + 1)
+    run_size = np.cumsum(size, axis=1) / steps
     lam = np.array([[r.lam_before for r in tr] for tr in trials])
     return {
-        "t": np.arange(1, horizon + 1),
-        "mean_coverage": (1.0 - loss).mean(axis=0),
+        "t": steps,
+        "mean_coverage": (1.0 - np.cumsum(missed, axis=1) / steps).mean(axis=0),
         "mean_set_size": run_size.mean(axis=0),
         "mean_lambda": lam.mean(axis=0),
     }

@@ -14,30 +14,12 @@ conformity scores stay finite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .conformal import sigmoid
 from .probe import ConfigurationError
 
 EPS = 1e-12
-
-
-@dataclass
-class TrainConfig:
-    """Online-training hyperparameters for the estimator (validated by RunConfig)."""
-
-    lr: float = 1e-3
-    l2: float = 1e-4
-    decay: float = 0.1
-    decay_every: int = 50
-
-    def lr_at(self, t: int) -> float:
-        return self.lr * self.decay ** (t // self.decay_every)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -49,9 +31,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 class SequentialPhaseEstimator:
     """Recurrent posterior model p(x | shots) over M grid phases.
 
-    Parameters live in a flat dict of numpy arrays. fit() performs repeated
-    single-sample gradient steps over a dataset; train_step() is the online
-    update used inside the sensing loop.
+    Parameters live in one flat vector `weights`, the arrays in _key_order
+    laid end to end; `params` maps each key to a reshaped view into it. fit()
+    performs repeated single-sample gradient steps over a dataset;
+    train_step() is the online update used inside the sensing loop.
     """
 
     def __init__(
@@ -71,7 +54,7 @@ class SequentialPhaseEstimator:
         rng = np.random.default_rng(seed)
         H = hidden_size
         bound = 1.0 / np.sqrt(H)
-        self.params: dict[str, np.ndarray] = {}
+        arrays: dict[str, np.ndarray] = {}
         for layer, d_in in enumerate((input_dim, H)):
             # W (3H, D_in), U (3H, H), b (3H,) with gate rows z, r, c; the seed's
             # initial weights depend on drawing W, U, b per gate in that order.
@@ -80,28 +63,35 @@ class SequentialPhaseEstimator:
                 for _ in "zrc"
             ]
             for name, blocks in zip("WUb", zip(*gates)):
-                self.params[f"{name}{layer}"] = np.concatenate(blocks)
+                arrays[f"{name}{layer}"] = np.concatenate(blocks)
         # Zero head => exactly uniform posterior before any training.
-        self.params["Wo"] = np.zeros((n_levels, H))
-        self.params["bo"] = np.zeros(n_levels)
-        self._key_order = sorted(self.params)
+        arrays["Wo"] = np.zeros((n_levels, H))
+        arrays["bo"] = np.zeros(n_levels)
+        self._key_order = sorted(arrays)
+        self._shapes = [arrays[k].shape for k in self._key_order]
+        self.weights = np.concatenate([arrays[k].reshape(-1) for k in self._key_order])
+        self.params = self._views(self.weights)
 
     # -- flat weight vector (checkpoints, gradient checks) ---------------------
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter array as a reshaped view into `flat`, in _key_order."""
+        views, pos = {}, 0
+        for k, shape in zip(self._key_order, self._shapes):
+            size = int(np.prod(shape))
+            views[k] = flat[pos : pos + size].reshape(shape)
+            pos += size
+        return views
+
     def get_weights(self) -> np.ndarray:
-        return np.concatenate([self.params[k].reshape(-1) for k in self._key_order])
+        return self.weights.copy()
 
     def set_weights(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)
-        total = sum(v.size for v in self.params.values())
-        if flat.size != total:
+        if flat.size != self.weights.size:
             raise ConfigurationError(
-                f"checkpoint has {flat.size} values, model needs {total}"
+                f"checkpoint has {flat.size} values, model needs {self.weights.size}"
             )
-        pos = 0
-        for k in self._key_order:
-            size = self.params[k].size
-            self.params[k] = flat[pos : pos + size].reshape(self.params[k].shape).copy()
-            pos += size
+        self.weights[:] = flat
 
     # -- forward / backward ---------------------------------------------------
     def _cell(self, layer: int, x: int | np.ndarray, h: np.ndarray):
@@ -109,7 +99,7 @@ class SequentialPhaseEstimator:
         H = self.hidden
         W, U, b = (self.params[f"{k}{layer}"] for k in "WUb")
         wx = W[:, x] if layer == 0 else W @ x
-        zr = _sigmoid(wx[: 2 * H] + U[: 2 * H] @ h + b[: 2 * H])
+        zr = sigmoid(wx[: 2 * H] + U[: 2 * H] @ h + b[: 2 * H])
         z, r = zr[:H], zr[H:]
         rh = r * h
         c = np.tanh(wx[2 * H :] + U[2 * H :] @ rh + b[2 * H :])
@@ -165,17 +155,18 @@ class SequentialPhaseEstimator:
 
     def loss_grads(
         self, shots: np.ndarray, x_index: int, masks=None
-    ) -> tuple[float, dict[str, np.ndarray]]:
-        """Cross-entropy loss and its gradients via BPTT."""
+    ) -> tuple[float, np.ndarray]:
+        """Cross-entropy loss and its gradient via BPTT, laid out like `weights`."""
         logits, caches, h2_out = self._run(shots, masks)
         probs = _softmax(logits)
         loss = float(-np.log(max(probs[x_index], 1e-300)))
         d_logits = probs.copy()
         d_logits[x_index] -= 1.0
 
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        grads["Wo"] = np.outer(d_logits, h2_out)
-        grads["bo"] = d_logits.copy()
+        flat_grad = np.zeros_like(self.weights)
+        grads = self._views(flat_grad)
+        grads["Wo"][:] = np.outer(d_logits, h2_out)
+        grads["bo"][:] = d_logits
 
         H = self.hidden
         dh = [np.zeros(H), np.zeros(H)]
@@ -213,35 +204,33 @@ class SequentialPhaseEstimator:
                     dx_down = W[:H].T @ daz + W[H : 2 * H].T @ dar + W[2 * H :].T @ dac
                     if masks is not None:
                         dx_down = dx_down * masks[0]
-        return loss, grads
+        return loss, flat_grad
 
     # -- training --------------------------------------------------------------
     def train_step(
         self,
         shots: np.ndarray,
         x_index: int,
-        cfg: TrainConfig,
-        t: int = 0,
+        lr: float,
+        l2: float,
         rng: np.random.Generator | None = None,
     ) -> bool:
         """One gradient step on -log p(x_index | shots) + L2; returns False if
         the step was skipped because of a non-finite gradient."""
-        _, grads = self.loss_grads(shots, x_index, self._make_masks(rng))
-        lr = cfg.lr_at(t)
+        _, grad = self.loss_grads(shots, x_index, self._make_masks(rng))
         if lr == 0.0:
             return True
-        for k in self._key_order:
-            g = grads[k] + cfg.l2 * self.params[k]
-            if not np.all(np.isfinite(g)):
-                return False
-        for k in self._key_order:
-            self.params[k] = self.params[k] - lr * (grads[k] + cfg.l2 * self.params[k])
+        grad += l2 * self.weights
+        if not np.all(np.isfinite(grad)):
+            return False
+        self.weights -= lr * grad
         return True
 
     def fit(
         self,
         dataset: list[tuple[np.ndarray, int]],
-        cfg: TrainConfig,
+        lr: float,
+        l2: float,
         epochs: int,
         rng: np.random.Generator | None = None,
     ) -> "SequentialPhaseEstimator":
@@ -250,7 +239,7 @@ class SequentialPhaseEstimator:
             raise ConfigurationError("pretraining dataset is empty")
         for _ in range(epochs):
             for shots, x_index in dataset:
-                self.train_step(shots, x_index, cfg, t=0, rng=rng)
+                self.train_step(shots, x_index, lr, l2, rng=rng)
         return self
 
 
@@ -265,7 +254,7 @@ def forward_bayesian(
         raise ConfigurationError("empty ensemble")
     posts = []
     for m in models:
-        if m.dropout > 0 and passes >= 1:
+        if m.dropout > 0:
             for _ in range(passes):
                 posts.append(m.forward(shots, rng=rng))
         else:

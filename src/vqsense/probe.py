@@ -19,7 +19,6 @@ import numpy as np
 MAX_QUBITS = 12
 ANGLES_PER_LAYER = 4  # (rz, ry, rz) shared 1-qubit angles + 1 shared ZZ angle
 PROB_FLOOR = 1e-12  # outcomes below this are excluded from log-gradients
-FD_STEP = 1e-5
 
 
 class ConfigurationError(ValueError):
@@ -168,7 +167,7 @@ def log_prob_grad_table(
     x: float,
     basis: np.ndarray,
     n: int,
-    h: float = FD_STEP,
+    h: float = 1e-5,
 ) -> np.ndarray:
     """Central-difference gradients of log p(s|x) w.r.t. every probe angle.
 

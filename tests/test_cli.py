@@ -116,7 +116,7 @@ class TestExitCodes:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"]
-        assert len(report["checks"]) == 4
+        assert len(report["checks"]) == 3
 
     def test_gradcheck_corrupt_fails(self, capsys):
         rc = main(["gradcheck", "--seed", "0", "--corrupt"])

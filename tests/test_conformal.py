@@ -123,7 +123,7 @@ class TestSoftSetSize:
         g = conformal.soft_set_size(scores, 1.0 + 10 * 0.3, 0.3)
         assert g >= 10 * 0.9999546
 
-    def test_sigmoid_arithmetic(self):
+    def test_logistic_arithmetic(self):
         g = conformal.soft_set_size(np.array([1.0, 2.0, 3.0]), 2.0, 0.5)
         expected = 0.8807970779778823 + 0.5 + 0.11920292202211755
         assert abs(g - expected) < 1e-12
@@ -151,36 +151,6 @@ class TestSoftSetSize:
     def test_bad_tau(self):
         with pytest.raises(ConfigurationError):
             conformal.soft_set_size(np.array([1.0]), 0.0, 0.0)
-
-
-class TestSoftSizeGrad:
-    def test_at_lambda(self):
-        g = conformal.soft_size_grad_scores(np.array([2.0]), 2.0, 0.5)
-        assert abs(g[0] + 0.5) < 1e-12  # -0.25/0.5
-
-    def test_saturated_component_vanishes(self):
-        g = conformal.soft_size_grad_scores(np.array([100.0]), 0.0, 0.5)
-        assert abs(g[0]) < 1e-12
-
-    def test_all_nonpositive(self, rng):
-        g = conformal.soft_size_grad_scores(rng.uniform(0, 5, 20), 2.0, 0.3)
-        assert np.all(g <= 0)
-
-    def test_matches_finite_differences(self, rng):
-        for _ in range(10):
-            scores = rng.uniform(0, 4, size=8)
-            lam, tau = rng.uniform(0, 4), rng.uniform(0.1, 1.0)
-            grad = conformal.soft_size_grad_scores(scores, lam, tau)
-            h = 1e-6
-            for i in range(8):
-                up, dn = scores.copy(), scores.copy()
-                up[i] += h
-                dn[i] -= h
-                numeric = (
-                    conformal.soft_set_size(up, lam, tau)
-                    - conformal.soft_set_size(dn, lam, tau)
-                ) / (2 * h)
-                assert abs(grad[i] - numeric) < 1e-8
 
 
 class TestRiskBound:

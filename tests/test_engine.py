@@ -16,6 +16,7 @@ from vqsense.engine import (
     run_trial,
     sense_step,
 )
+from vqsense.estimator import SequentialPhaseEstimator
 from vqsense.probe import ConfigurationError
 
 FAST = dict(
@@ -125,6 +126,23 @@ class TestSenseStep:
         state = init_state(cfg, 0)
         rec = sense_step(state, 2)
         assert 0.0 <= rec.loss <= np.pi
+
+    def test_decayed_rate_passed_to_train_step(self, monkeypatch):
+        cfg = fast_config(lr=1e-3, decay=0.1, decay_every=50)
+        state = init_state(cfg, 0)
+        seen = []
+
+        def record(model, shots, x_index, lr, l2, rng=None):
+            seen.append(lr)
+            return True
+
+        monkeypatch.setattr(SequentialPhaseEstimator, "train_step", record)
+        for t in (0, 49, 50, 100):
+            state.steps = t
+            sense_step(state, 0)
+        assert seen[:2] == [1e-3, 1e-3]
+        assert abs(seen[2] - 1e-4) < 1e-18
+        assert abs(seen[3] - 1e-5) < 1e-18
 
 
 class TestProbeGradStep:
@@ -264,6 +282,16 @@ class TestAggregate:
             [1 - np.mean([r.loss for r in tr[: t + 1]]) for tr in trials]
         )
         assert agg["mean_coverage"][t] == pytest.approx(manual, abs=1e-12)
+
+    def test_distance_loss_coverage_from_sets(self):
+        cfg = fast_config(loss_kind="distance", horizon=30)
+        trials = [run_trial(cfg, s, pretrain=False) for s in range(2)]
+        covered = np.array([[r.set_mask[r.x_index] for r in tr] for tr in trials])
+        assert not covered.all()  # a miss, so coverage and 1 - distance differ
+        agg = aggregate(trials)
+        for t in range(cfg.horizon):
+            manual = np.mean(covered[:, : t + 1].mean(axis=1))
+            assert agg["mean_coverage"][t] == pytest.approx(manual, abs=1e-12)
 
     def test_ensemble_mode_runs(self):
         cfg = fast_config(ensemble=2)

@@ -4,7 +4,6 @@ import pytest
 from vqsense.estimator import (
     EPS,
     SequentialPhaseEstimator,
-    TrainConfig,
     forward_bayesian,
 )
 from vqsense.probe import ConfigurationError
@@ -69,10 +68,7 @@ class TestBackprop:
         model = make_model(perturb=0.2)
         shots = rng.integers(4, size=8)
         x_index = 4
-        _, grads = model.loss_grads(shots, x_index)
-        flat = np.concatenate(
-            [grads[k].reshape(-1) for k in model._key_order]
-        )
+        _, flat = model.loss_grads(shots, x_index)
         base = model.get_weights()
         h = 1e-4
         coords = rng.choice(
@@ -95,29 +91,44 @@ class TestTrainStep:
     def test_zero_lr_no_change(self, rng):
         model = make_model(perturb=0.2)
         before = model.get_weights()
-        model.train_step(rng.integers(4, size=5), 2, TrainConfig(lr=0.0))
+        model.train_step(rng.integers(4, size=5), 2, 0.0, 1e-4)
         np.testing.assert_array_equal(model.get_weights(), before)
 
     def test_single_step_decreases_loss(self, rng):
         model = make_model(perturb=0.2)
         shots = rng.integers(4, size=8)
         before = model.nll(shots, 3)
-        model.train_step(shots, 3, TrainConfig(lr=1e-3, l2=0.0))
+        model.train_step(shots, 3, 1e-3, 0.0)
         assert model.nll(shots, 3) < before
 
-    def test_decay_schedule(self):
-        cfg = TrainConfig(lr=1e-3, decay=0.1, decay_every=50)
-        assert cfg.lr_at(0) == 1e-3
-        assert cfg.lr_at(49) == 1e-3
-        assert abs(cfg.lr_at(50) - 1e-4) < 1e-18
-        assert abs(cfg.lr_at(100) - 1e-5) < 1e-18
+    def test_decay_schedule(self, rng):
+        # engine.sense_step decays the rate; the step train_step takes must
+        # scale with the rate it is given (steps 0, 50 and 100 of the schedule).
+        shots = rng.integers(4, size=8)
+        deltas = []
+        for t in (0, 50, 100):
+            model = make_model(perturb=0.2)
+            before = model.get_weights()
+            assert model.train_step(shots, 3, 1e-3 * 0.1 ** (t // 50), 1e-4)
+            deltas.append(before - model.get_weights())
+        assert np.any(deltas[0] != 0.0)
+        np.testing.assert_allclose(deltas[1], 0.1 * deltas[0], rtol=1e-6, atol=1e-15)
+        np.testing.assert_allclose(deltas[2], 0.01 * deltas[0], rtol=1e-6, atol=1e-15)
+
+    def test_nonfinite_gradient_leaves_weights_unchanged(self, rng, monkeypatch):
+        model = make_model(perturb=0.2)
+        before = model.weights.tobytes()
+        grad = np.zeros(model.weights.size)
+        grad[7] = np.nan
+        monkeypatch.setattr(model, "loss_grads", lambda *args, **kwargs: (0.0, grad))
+        assert model.train_step(rng.integers(4, size=5), 2, 1e-3, 1e-4) is False
+        assert model.weights.tobytes() == before
 
     def test_weights_stay_finite(self, rng):
         model = make_model(perturb=0.3)
-        cfg = TrainConfig(lr=0.05)
         for t in range(100):
             shots = rng.integers(4, size=10)
-            model.train_step(shots, int(rng.integers(10)), cfg, t=t)
+            model.train_step(shots, int(rng.integers(10)), 0.05 * 0.1 ** (t // 50), 1e-4)
         assert np.all(np.isfinite(model.get_weights()))
 
 
@@ -125,7 +136,7 @@ class TestFit:
     def test_zero_epochs_no_change(self, rng):
         model = make_model(perturb=0.1)
         before = model.get_weights()
-        model.fit([(rng.integers(4, size=5), 1)], TrainConfig(), epochs=0)
+        model.fit([(rng.integers(4, size=5), 1)], 1e-3, 1e-4, epochs=0)
         np.testing.assert_array_equal(model.get_weights(), before)
 
     def test_beats_uniform_on_training_set(self, rng):
@@ -137,20 +148,20 @@ class TestFit:
                 rng.integers(4, size=10) // 2 + (xi % 4) // 2, 0, 3
             )
             dataset.append((shots, xi))
-        model.fit(dataset, TrainConfig(lr=0.02, l2=1e-4), epochs=100)
+        model.fit(dataset, 0.02, 1e-4, epochs=100)
         mean_ce = np.mean([model.nll(s, xi) for s, xi in dataset])
         assert mean_ce < np.log(10)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_model().fit([], TrainConfig(), epochs=1)
+            make_model().fit([], 1e-3, 1e-4, epochs=1)
 
     def test_deterministic(self, rng):
         dataset = [(rng.integers(4, size=6), int(rng.integers(10))) for _ in range(5)]
         a = make_model(seed=3)
         b = make_model(seed=3)
-        a.fit(dataset, TrainConfig(lr=0.01), epochs=20)
-        b.fit(dataset, TrainConfig(lr=0.01), epochs=20)
+        a.fit(dataset, 0.01, 1e-4, epochs=20)
+        b.fit(dataset, 0.01, 1e-4, epochs=20)
         np.testing.assert_array_equal(a.get_weights(), b.get_weights())
 
 
@@ -195,6 +206,30 @@ class TestCheckpointRoundtrip:
         clone = make_model()
         clone.set_weights(model.get_weights())
         np.testing.assert_array_equal(clone.get_weights(), model.get_weights())
+
+    def test_set_weights_reaches_every_view(self, rng):
+        model = make_model()
+        shots = rng.integers(4, size=6)
+        w = rng.normal(scale=0.3, size=model.weights.size)
+        model.set_weights(w)
+        pos = 0
+        for k in model._key_order:
+            view = model.params[k]
+            np.testing.assert_array_equal(view.reshape(-1), w[pos : pos + view.size])
+            pos += view.size
+        assert pos == w.size
+        # the zero head is overwritten, so the posterior is no longer uniform
+        assert not np.allclose(model.forward(shots), 0.1)
+        model.train_step(shots, 3, 1e-2, 0.0)
+        for view in model.params.values():
+            assert np.shares_memory(view, model.weights)
+
+    def test_get_weights_is_a_copy(self):
+        model = make_model(perturb=0.2)
+        w = model.get_weights()
+        assert not np.shares_memory(w, model.weights)
+        w[:] = 0.0
+        assert np.any(model.weights != 0.0)
 
     def test_wrong_size_rejected(self):
         with pytest.raises(ConfigurationError):
