@@ -5,6 +5,9 @@ cells; a linear head on the final hidden state gives logits over the M
 candidate phases. Each cell keeps its update (z), reset (r) and candidate (c)
 gates as row blocks of one W, U and b, and the first cell reads a shot s as
 column W0[:, s], the product of W0 with the one-hot vector of s.
+Layer 0 never reads layer 1, so each cell runs over the whole sequence before
+the next one starts, forward and backward; layer 1's input projection and
+every weight gradient are then one matrix product per sequence.
 Backpropagation through time is written out by hand so gradients can be
 checked against finite differences.
 
@@ -94,37 +97,40 @@ class SequentialPhaseEstimator:
         self.weights[:] = flat
 
     # -- forward / backward ---------------------------------------------------
-    def _cell(self, layer: int, x: int | np.ndarray, h: np.ndarray):
-        """One GRU step; layer 0 takes a shot index x, layer 1 a hidden vector."""
+    def _layer(self, layer: int, WX: np.ndarray):
+        """One cell over the whole sequence, given its input projections WX
+        (L, 3H); returns the hidden states Hs (L+1, H), Hs[0] = 0, and the
+        gates ZR (L, 2H), RH and C (L, H)."""
         H = self.hidden
-        W, U, b = (self.params[f"{k}{layer}"] for k in "WUb")
-        wx = W[:, x] if layer == 0 else W @ x
-        zr = sigmoid(wx[: 2 * H] + U[: 2 * H] @ h + b[: 2 * H])
-        z, r = zr[:H], zr[H:]
-        rh = r * h
-        c = np.tanh(wx[2 * H :] + U[2 * H :] @ rh + b[2 * H :])
-        h_new = (1 - z) * h + z * c
-        return h_new, {"x": x, "h": h, "z": z, "r": r, "rh": rh, "c": c}
+        U, b = self.params[f"U{layer}"], self.params[f"b{layer}"]
+        U_zr, U_c, b_zr, b_c = U[: 2 * H], U[2 * H :], b[: 2 * H], b[2 * H :]
+        L = len(WX)
+        Hs = np.zeros((L + 1, H))
+        ZR, RH, C = np.empty((L, 2 * H)), np.empty((L, H)), np.empty((L, H))
+        for t, (wx, h) in enumerate(zip(WX, Hs)):
+            zr = ZR[t] = sigmoid(wx[: 2 * H] + U_zr @ h + b_zr)
+            z = zr[:H]
+            rh = RH[t] = zr[H:] * h
+            c = C[t] = np.tanh(wx[2 * H :] + U_c @ rh + b_c)
+            Hs[t + 1] = (1 - z) * h + z * c
+        return Hs, ZR, RH, C
 
     def _run(self, shots: np.ndarray, masks=None):
-        """Forward over the shot sequence; returns (logits, caches, h2_out)."""
+        """Forward over the shot sequence, one layer at a time; returns
+        (logits, caches, h2_out); caches are the validated shots, layer 1's
+        input X1 and the two cells' _layer results."""
         shots = np.asarray(shots, dtype=np.int64)
         if shots.ndim != 1 or len(shots) == 0:
             raise ConfigurationError("shots must be a nonempty 1-d integer array")
         if np.any(shots < 0) or np.any(shots >= self.input_dim):
             raise ConfigurationError("shot outcome out of range for input dimension")
-        h = [np.zeros(self.hidden), np.zeros(self.hidden)]
-        caches = []
-        for x in shots:
-            step = []
-            for layer in (0, 1):
-                h[layer], cache = self._cell(layer, x, h[layer])
-                x = h[layer] if masks is None else h[layer] * masks[layer]
-                step.append(cache)
-            caches.append(step)
-        h2_out = x  # final (possibly masked) top-layer output
+        # Layer 0 reads shot s as column W0[:, s].
+        cache0 = self._layer(0, self.params["W0"][:, shots].T)
+        X1 = cache0[0][1:] if masks is None else cache0[0][1:] * masks[0]
+        cache1 = self._layer(1, X1 @ self.params["W1"].T)
+        h2_out = cache1[0][-1] if masks is None else cache1[0][-1] * masks[1]
         logits = self.params["Wo"] @ h2_out + self.params["bo"]
-        return logits, caches, h2_out
+        return logits, (shots, X1, cache0, cache1), h2_out
 
     def _make_masks(self, rng: np.random.Generator | None):
         """Inverted-dropout masks per layer, or None unless dropout is on and
@@ -157,7 +163,7 @@ class SequentialPhaseEstimator:
         self, shots: np.ndarray, x_index: int, masks=None
     ) -> tuple[float, np.ndarray]:
         """Cross-entropy loss and its gradient via BPTT, laid out like `weights`."""
-        logits, caches, h2_out = self._run(shots, masks)
+        logits, (shots, X1, cache0, cache1), h2_out = self._run(shots, masks)
         probs = _softmax(logits)
         loss = float(-np.log(max(probs[x_index], 1e-300)))
         d_logits = probs.copy()
@@ -169,42 +175,48 @@ class SequentialPhaseEstimator:
         grads["bo"][:] = d_logits
 
         H = self.hidden
-        dh = [np.zeros(H), np.zeros(H)]
-        d_top = self.params["Wo"].T @ d_logits
+        d_out = np.zeros((len(shots), H))
+        d_out[-1] = self.params["Wo"].T @ d_logits
         if masks is not None:
-            d_top = d_top * masks[1]
-        dh[1] += d_top
-        for step in reversed(caches):
-            dx_down = 0.0
-            for layer in (1, 0):
-                cache = step[layer]
-                U = self.params[f"U{layer}"]
-                z, r, c, h_prev, x = (cache[k] for k in ("z", "r", "c", "h", "x"))
-                d = dh[layer] + dx_down
-                dz = d * (c - h_prev)
-                dc = d * z
-                dh_prev = d * (1 - z)
-                dac = dc * (1 - c**2)
-                drh = U[2 * H :].T @ dac
-                dr = drh * h_prev
-                dh_prev = dh_prev + drh * r
-                dar = dr * r * (1 - r)
-                daz = dz * z * (1 - z)
-                da = np.concatenate((daz, dar, dac))
-                grads[f"U{layer}"][: 2 * H] += np.outer(da[: 2 * H], h_prev)
-                grads[f"U{layer}"][2 * H :] += np.outer(dac, cache["rh"])
-                grads[f"b{layer}"] += da
-                # per-gate products: a packed U[:2H].T product reorders the sum
-                dh[layer] = dh_prev + U[:H].T @ daz + U[H : 2 * H].T @ dar
-                if layer == 0:
-                    grads["W0"][:, x] += da  # outer(da, onehot(x)) as a column add
-                else:
-                    grads["W1"] += np.outer(da, x)
-                    W = self.params["W1"]
-                    dx_down = W[:H].T @ daz + W[H : 2 * H].T @ dar + W[2 * H :].T @ dac
-                    if masks is not None:
-                        dx_down = dx_down * masks[0]
+            d_out[-1] *= masks[1]
+        DA1 = self._layer_back(1, cache1, d_out, grads)
+        grads["W1"][:] = DA1.T @ X1
+        W1 = self.params["W1"]
+        # per-gate products: a packed DA1 @ W1 product reorders the sum
+        dX1 = (
+            DA1[:, :H] @ W1[:H]
+            + DA1[:, H : 2 * H] @ W1[H : 2 * H]
+            + DA1[:, 2 * H :] @ W1[2 * H :]
+        )
+        if masks is not None:
+            dX1 *= masks[0]
+        DA0 = self._layer_back(0, cache0, dX1, grads)
+        np.add.at(grads["W0"].T, shots, DA0)  # column adds; repeated shots add up
         return loss, flat_grad
+
+    def _layer_back(self, layer: int, cache, d_out: np.ndarray, grads) -> np.ndarray:
+        """BPTT through one cell given the gradient d_out (L, H) that reaches
+        each step's output from above. Writes the cell's U and b gradients into
+        grads and returns the gate pre-activation gradients DA (L, 3H)."""
+        H = self.hidden
+        Hs, ZR, RH, C = cache
+        U = self.params[f"U{layer}"]
+        Uz_T, Ur_T, Uc_T = U[:H].T, U[H : 2 * H].T, U[2 * H :].T
+        DA = np.empty((len(C), 3 * H))
+        dh = np.zeros(H)
+        for t in reversed(range(len(C))):
+            z, r, c, h_prev, da = ZR[t, :H], ZR[t, H:], C[t], Hs[t], DA[t]
+            d = dh + d_out[t]
+            dac = da[2 * H :] = d * z * (1 - c**2)
+            drh = Uc_T @ dac
+            dar = da[H : 2 * H] = drh * h_prev * r * (1 - r)
+            daz = da[:H] = d * (c - h_prev) * z * (1 - z)
+            # per-gate products: a packed U[:2H].T product reorders the sum
+            dh = d * (1 - z) + drh * r + Uz_T @ daz + Ur_T @ dar
+        grads[f"U{layer}"][: 2 * H] = DA[:, : 2 * H].T @ Hs[:-1]
+        grads[f"U{layer}"][2 * H :] = DA[:, 2 * H :].T @ RH
+        grads[f"b{layer}"][:] = DA.sum(0)
+        return DA
 
     # -- training --------------------------------------------------------------
     def train_step(
@@ -217,9 +229,10 @@ class SequentialPhaseEstimator:
     ) -> bool:
         """One gradient step on -log p(x_index | shots) + L2; returns False if
         the step was skipped because of a non-finite gradient."""
-        _, grad = self.loss_grads(shots, x_index, self._make_masks(rng))
+        masks = self._make_masks(rng)  # drawn even at lr 0: the rng stream stays the same
         if lr == 0.0:
             return True
+        _, grad = self.loss_grads(shots, x_index, masks)
         grad += l2 * self.weights
         if not np.all(np.isfinite(grad)):
             return False
@@ -252,6 +265,8 @@ def forward_bayesian(
     """Averaged posterior over ensemble members or stochastic dropout passes."""
     if not models:
         raise ConfigurationError("empty ensemble")
+    if passes < 1:
+        raise ConfigurationError("passes must be >= 1")
     posts = []
     for m in models:
         if m.dropout > 0:

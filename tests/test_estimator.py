@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from vqsense.conformal import sigmoid
 from vqsense.estimator import (
     EPS,
     SequentialPhaseEstimator,
+    _softmax,
     forward_bayesian,
 )
 from vqsense.probe import ConfigurationError
@@ -63,6 +65,72 @@ class TestScore:
             assert abs(vec[i] - float(-np.log(post[i]))) < 1e-12
 
 
+def reference_loss_grads(model, shots, x_index, masks=None):
+    """Per-step GRU and BPTT, one shot through both cells at a time: the loop
+    the layer-at-a-time estimator replaced. Returns (logits, grads by key)."""
+    p, H = model.params, model.hidden
+    h, steps = [np.zeros(H), np.zeros(H)], []
+    for x in shots:
+        step = []
+        for layer in (0, 1):
+            W, U, b = (p[f"{k}{layer}"] for k in "WUb")
+            wx = W[:, x] if layer == 0 else W @ x
+            zr = sigmoid(wx[: 2 * H] + U[: 2 * H] @ h[layer] + b[: 2 * H])
+            z, r, rh = zr[:H], zr[H:], zr[H:] * h[layer]
+            c = np.tanh(wx[2 * H :] + U[2 * H :] @ rh + b[2 * H :])
+            step.append((x, h[layer], z, r, rh, c))
+            h[layer] = (1 - z) * h[layer] + z * c
+            x = h[layer] if masks is None else h[layer] * masks[layer]
+        steps.append(step)
+    logits = p["Wo"] @ x + p["bo"]
+    d_logits = _softmax(logits)
+    d_logits[x_index] -= 1.0
+    g = {k: np.zeros_like(v) for k, v in p.items()}
+    g["Wo"], g["bo"] = np.outer(d_logits, x), d_logits
+    dh = [np.zeros(H), p["Wo"].T @ d_logits * (1.0 if masks is None else masks[1])]
+    for step in reversed(steps):
+        dx_down = 0.0
+        for layer in (1, 0):
+            x, h_prev, z, r, rh, c = step[layer]
+            U = p[f"U{layer}"]
+            d = dh[layer] + dx_down
+            dac = d * z * (1 - c**2)
+            drh = U[2 * H :].T @ dac
+            da = np.concatenate(
+                (d * (c - h_prev) * z * (1 - z), drh * h_prev * r * (1 - r), dac)
+            )
+            g[f"U{layer}"][: 2 * H] += np.outer(da[: 2 * H], h_prev)
+            g[f"U{layer}"][2 * H :] += np.outer(dac, rh)
+            g[f"b{layer}"] += da
+            dh[layer] = d * (1 - z) + drh * r + U[: 2 * H].T @ da[: 2 * H]
+            if layer == 0:
+                g["W0"][:, x] += da
+            else:
+                g["W1"] += np.outer(da, x)
+                dx_down = p["W1"].T @ da * (1.0 if masks is None else masks[0])
+    return logits, g
+
+
+def fd_check(model, shots, x_index, masks=None, coords=None):
+    """loss_grads against central differences of its own returned loss."""
+    _, flat = model.loss_grads(shots, x_index, masks)
+    base = model.get_weights()
+    coords = range(base.size) if coords is None else coords
+    h = 1e-5
+    for k in coords:
+        w = base.copy()
+        w[k] += h
+        model.set_weights(w)
+        fp, _ = model.loss_grads(shots, x_index, masks)
+        w[k] -= 2 * h
+        model.set_weights(w)
+        fm, _ = model.loss_grads(shots, x_index, masks)
+        numeric = (fp - fm) / (2 * h)
+        assert abs(flat[k] - numeric) <= 1e-5 * abs(numeric) + 1e-8, k
+    model.set_weights(base)
+    return flat
+
+
 class TestBackprop:
     def test_matches_finite_differences(self, rng):
         model = make_model(perturb=0.2)
@@ -86,8 +154,70 @@ class TestBackprop:
             assert abs(flat[k] - numeric) / max(abs(numeric), 1e-8) <= 1e-4
         model.set_weights(base)
 
+    def test_masked_matches_finite_differences(self, rng):
+        model = make_model(hidden=8, perturb=0.3, dropout=0.5)
+        masks = model._make_masks(rng)
+        assert all(np.any(m == 0.0) for m in masks)
+        shots = rng.integers(4, size=6)
+        flat = fd_check(model, shots, 4, masks)
+        assert np.any(flat != model.loss_grads(shots, 4)[1])
+
+    def test_length_one_matches_finite_differences(self):
+        fd_check(make_model(hidden=8, perturb=0.3), np.array([2]), 7)
+
+    def test_repeated_shots_match_finite_differences(self):
+        model = make_model(hidden=8, perturb=0.3)
+        shots = np.array([2, 0, 2, 2, 1])
+        index = model._views(np.arange(model.weights.size))
+        # every W0 column, the repeated shot's in particular
+        flat = fd_check(model, shots, 5, coords=index["W0"].reshape(-1))
+        assert np.any(flat[index["W0"][:, 2]] != 0.0)
+
+
+class TestReferenceGRU:
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    def test_matches_per_step_loop(self, n, dropout):
+        model = SequentialPhaseEstimator(2**n, 10, hidden_size=16, dropout=dropout, seed=n)
+        rng = np.random.default_rng(n)
+        model.set_weights(model.get_weights() + rng.normal(scale=0.3, size=model.weights.size))
+        shots = rng.integers(2**n, size=12)
+        shots[3] = shots[7]
+        masks = model._make_masks(np.random.default_rng(99))
+        assert (masks is None) == (dropout == 0.0)
+        logits, ref = reference_loss_grads(model, shots, 6, masks)
+        # forward draws the same masks from an rng in the same state
+        post = np.maximum(_softmax(logits), EPS)
+        np.testing.assert_allclose(
+            model.forward(shots, rng=np.random.default_rng(99)), post / post.sum(), rtol=1e-12
+        )
+        _, flat = model.loss_grads(shots, 6, masks)
+        grads = model._views(flat)
+        for k, want in ref.items():
+            # rtol on each entry; entries far below the array's largest get
+            # an absolute floor, since a reordered sum can cancel to ~1e-17
+            np.testing.assert_allclose(
+                grads[k], want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=k
+            )
+
 
 class TestTrainStep:
+    def test_zero_lr_skips_bptt(self, rng, monkeypatch):
+        model = make_model(perturb=0.2, dropout=0.4)
+        before = model.weights.tobytes()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("loss_grads called at lr 0")
+
+        monkeypatch.setattr(model, "loss_grads", fail)
+        step_rng, expected = np.random.default_rng(5), np.random.default_rng(5)
+        assert model.train_step(rng.integers(4, size=5), 2, 0.0, 1e-4, rng=step_rng) is True
+        assert model.weights.tobytes() == before
+        # the step still draws its two dropout masks
+        expected.random(model.hidden)
+        expected.random(model.hidden)
+        assert step_rng.bit_generator.state == expected.bit_generator.state
+
     def test_zero_lr_no_change(self, rng):
         model = make_model(perturb=0.2)
         before = model.get_weights()
@@ -198,6 +328,12 @@ class TestForwardBayesian:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ConfigurationError):
             forward_bayesian([], np.array([0]))
+
+    @pytest.mark.parametrize("passes", [0, -1])
+    def test_passes_below_one_rejected(self, rng, passes):
+        model = make_model(perturb=0.3, dropout=0.4)
+        with pytest.raises(ConfigurationError):
+            forward_bayesian([model], np.array([0, 1]), passes=passes, rng=rng)
 
 
 class TestCheckpointRoundtrip:
