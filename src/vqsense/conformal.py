@@ -92,8 +92,12 @@ def update_threshold(state: ThresholdState, loss: float) -> ThresholdState:
     )
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)), written into `out` when given. The ±500 clamp keeps
+    exp finite; minimum/maximum give np.clip's values at less call cost."""
+    z = np.minimum(np.maximum(z, -500.0), 500.0, out=out)
+    z = np.exp(np.negative(z, out=out), out=out)
+    return np.divide(1.0, np.add(z, 1.0, out=out), out=out)
 
 
 def soft_set_size(scores: np.ndarray, lam: float, tau: float) -> float:

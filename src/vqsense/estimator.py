@@ -71,19 +71,19 @@ class SequentialPhaseEstimator:
         arrays["Wo"] = np.zeros((n_levels, H))
         arrays["bo"] = np.zeros(n_levels)
         self._key_order = sorted(arrays)
-        self._shapes = [arrays[k].shape for k in self._key_order]
+        # (key, start, stop, shape) of each array in the flat vector
+        self._layout, pos = [], 0
+        for k in self._key_order:
+            self._layout.append((k, pos, pos + arrays[k].size, arrays[k].shape))
+            pos += arrays[k].size
         self.weights = np.concatenate([arrays[k].reshape(-1) for k in self._key_order])
         self.params = self._views(self.weights)
+        self._step = np.empty_like(self.weights)  # train_step's update, reused every step
 
     # -- flat weight vector (checkpoints, gradient checks) ---------------------
     def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter array as a reshaped view into `flat`, in _key_order."""
-        views, pos = {}, 0
-        for k, shape in zip(self._key_order, self._shapes):
-            size = int(np.prod(shape))
-            views[k] = flat[pos : pos + size].reshape(shape)
-            pos += size
-        return views
+        return {k: flat[a:b].reshape(shape) for k, a, b, shape in self._layout}
 
     def get_weights(self) -> np.ndarray:
         return self.weights.copy()
@@ -100,30 +100,36 @@ class SequentialPhaseEstimator:
     def _layer(self, layer: int, WX: np.ndarray):
         """One cell over the whole sequence, given its input projections WX
         (L, 3H); returns the hidden states Hs (L+1, H), Hs[0] = 0, and the
-        gates ZR (L, 2H), RH and C (L, H)."""
+        gates ZR (L, 2H), RH and C (L, H). The bias joins WX once, and each
+        step writes its gates straight into their rows."""
         H = self.hidden
-        U, b = self.params[f"U{layer}"], self.params[f"b{layer}"]
-        U_zr, U_c, b_zr, b_c = U[: 2 * H], U[2 * H :], b[: 2 * H], b[2 * H :]
-        L = len(WX)
+        U = self.params[f"U{layer}"]
+        U_zr, U_c = U[: 2 * H], U[2 * H :]
+        A = WX + self.params[f"b{layer}"]
+        A_zr, A_c = A[:, : 2 * H], A[:, 2 * H :]
+        L = len(A)
         Hs = np.zeros((L + 1, H))
         ZR, RH, C = np.empty((L, 2 * H)), np.empty((L, H)), np.empty((L, H))
-        for t, (wx, h) in enumerate(zip(WX, Hs)):
-            zr = ZR[t] = sigmoid(wx[: 2 * H] + U_zr @ h + b_zr)
-            z = zr[:H]
-            rh = RH[t] = zr[H:] * h
-            c = C[t] = np.tanh(wx[2 * H :] + U_c @ rh + b_c)
-            Hs[t + 1] = (1 - z) * h + z * c
+        for t in range(L):
+            h, zr, c, h_next = Hs[t], ZR[t], C[t], Hs[t + 1]
+            np.dot(U_zr, h, out=zr)
+            zr += A_zr[t]
+            sigmoid(zr, out=zr)
+            rh = np.multiply(zr[H:], h, out=RH[t])
+            np.dot(U_c, rh, out=c)
+            c += A_c[t]
+            np.tanh(c, out=c)
+            # h + z (c - h), which is (1 - z) h + z c
+            np.subtract(c, h, out=h_next)
+            h_next *= zr[:H]
+            h_next += h
         return Hs, ZR, RH, C
 
     def _run(self, shots: np.ndarray, masks=None):
         """Forward over the shot sequence, one layer at a time; returns
         (logits, caches, h2_out); caches are the validated shots, layer 1's
         input X1 and the two cells' _layer results."""
-        shots = np.asarray(shots, dtype=np.int64)
-        if shots.ndim != 1 or len(shots) == 0:
-            raise ConfigurationError("shots must be a nonempty 1-d integer array")
-        if np.any(shots < 0) or np.any(shots >= self.input_dim):
-            raise ConfigurationError("shot outcome out of range for input dimension")
+        shots = self._checked_shots(shots)
         # Layer 0 reads shot s as column W0[:, s].
         cache0 = self._layer(0, self.params["W0"][:, shots].T)
         X1 = cache0[0][1:] if masks is None else cache0[0][1:] * masks[0]
@@ -131,6 +137,20 @@ class SequentialPhaseEstimator:
         h2_out = cache1[0][-1] if masks is None else cache1[0][-1] * masks[1]
         logits = self.params["Wo"] @ h2_out + self.params["bo"]
         return logits, (shots, X1, cache0, cache1), h2_out
+
+    def _checked_shots(self, shots: np.ndarray) -> np.ndarray:
+        shots = np.asarray(shots, dtype=np.int64)
+        if shots.ndim != 1 or len(shots) == 0:
+            raise ConfigurationError("shots must be a nonempty 1-d integer array")
+        if np.any(shots < 0) or np.any(shots >= self.input_dim):
+            raise ConfigurationError("shot outcome out of range for input dimension")
+        return shots
+
+    def _check_label(self, x_index: int) -> None:
+        if not 0 <= x_index < self.n_levels:
+            raise ConfigurationError(
+                f"phase index {x_index} out of range for {self.n_levels} phases"
+            )
 
     def _make_masks(self, rng: np.random.Generator | None):
         """Inverted-dropout masks per layer, or None unless dropout is on and
@@ -156,6 +176,7 @@ class SequentialPhaseEstimator:
 
     def nll(self, shots: np.ndarray, x_index: int) -> float:
         """Cross-entropy of the true label (no floor); target of train_step."""
+        self._check_label(x_index)
         logits, _, _ = self._run(shots)
         return float(-np.log(_softmax(logits)[x_index]))
 
@@ -163,31 +184,24 @@ class SequentialPhaseEstimator:
         self, shots: np.ndarray, x_index: int, masks=None
     ) -> tuple[float, np.ndarray]:
         """Cross-entropy loss and its gradient via BPTT, laid out like `weights`."""
+        self._check_label(x_index)
         logits, (shots, X1, cache0, cache1), h2_out = self._run(shots, masks)
-        probs = _softmax(logits)
-        loss = float(-np.log(max(probs[x_index], 1e-300)))
-        d_logits = probs.copy()
+        d_logits = _softmax(logits)
+        loss = float(-np.log(max(d_logits[x_index], 1e-300)))
         d_logits[x_index] -= 1.0
 
         flat_grad = np.zeros_like(self.weights)
         grads = self._views(flat_grad)
-        grads["Wo"][:] = np.outer(d_logits, h2_out)
+        np.multiply.outer(d_logits, h2_out, out=grads["Wo"])
         grads["bo"][:] = d_logits
 
-        H = self.hidden
-        d_out = np.zeros((len(shots), H))
+        d_out = np.zeros((len(shots), self.hidden))
         d_out[-1] = self.params["Wo"].T @ d_logits
         if masks is not None:
             d_out[-1] *= masks[1]
         DA1 = self._layer_back(1, cache1, d_out, grads)
         grads["W1"][:] = DA1.T @ X1
-        W1 = self.params["W1"]
-        # per-gate products: a packed DA1 @ W1 product reorders the sum
-        dX1 = (
-            DA1[:, :H] @ W1[:H]
-            + DA1[:, H : 2 * H] @ W1[H : 2 * H]
-            + DA1[:, 2 * H :] @ W1[2 * H :]
-        )
+        dX1 = DA1 @ self.params["W1"]
         if masks is not None:
             dX1 *= masks[0]
         DA0 = self._layer_back(0, cache0, dX1, grads)
@@ -197,23 +211,34 @@ class SequentialPhaseEstimator:
     def _layer_back(self, layer: int, cache, d_out: np.ndarray, grads) -> np.ndarray:
         """BPTT through one cell given the gradient d_out (L, H) that reaches
         each step's output from above. Writes the cell's U and b gradients into
-        grads and returns the gate pre-activation gradients DA (L, 3H)."""
+        grads and returns the gate pre-activation gradients DA (L, 3H).
+        Every factor the forward caches alone fix is one (L, H) array made
+        before the loop, which then does only the d-dependent products."""
         H = self.hidden
         Hs, ZR, RH, C = cache
+        H_prev, Z, R = Hs[:-1], ZR[:, :H], ZR[:, H:]
         U = self.params[f"U{layer}"]
-        Uz_T, Ur_T, Uc_T = U[:H].T, U[H : 2 * H].T, U[2 * H :].T
+        U_zr, U_c = U[: 2 * H], U[2 * H :]
+        F_c = Z * (1 - C**2)
+        F_r = H_prev * R * (1 - R)
+        F_z = (C - H_prev) * Z * (1 - Z)
+        G = 1 - Z
         DA = np.empty((len(C), 3 * H))
-        dh = np.zeros(H)
+        dh, d, drh = np.zeros(H), np.empty(H), np.empty(H)
         for t in reversed(range(len(C))):
-            z, r, c, h_prev, da = ZR[t, :H], ZR[t, H:], C[t], Hs[t], DA[t]
-            d = dh + d_out[t]
-            dac = da[2 * H :] = d * z * (1 - c**2)
-            drh = Uc_T @ dac
-            dar = da[H : 2 * H] = drh * h_prev * r * (1 - r)
-            daz = da[:H] = d * (c - h_prev) * z * (1 - z)
-            # per-gate products: a packed U[:2H].T product reorders the sum
-            dh = d * (1 - z) + drh * r + Uz_T @ daz + Ur_T @ dar
-        grads[f"U{layer}"][: 2 * H] = DA[:, : 2 * H].T @ Hs[:-1]
+            da = DA[t]
+            np.add(dh, d_out[t], out=d)
+            dac = np.multiply(d, F_c[t], out=da[2 * H :])
+            np.dot(dac, U_c, out=drh)
+            np.multiply(drh, F_r[t], out=da[H : 2 * H])
+            np.multiply(d, F_z[t], out=da[:H])
+            # dh = d (1 - z) + drh r + U_zr^T da_zr
+            d *= G[t]
+            drh *= R[t]
+            d += drh
+            np.dot(da[: 2 * H], U_zr, out=dh)
+            dh += d
+        grads[f"U{layer}"][: 2 * H] = DA[:, : 2 * H].T @ H_prev
         grads[f"U{layer}"][2 * H :] = DA[:, 2 * H :].T @ RH
         grads[f"b{layer}"][:] = DA.sum(0)
         return DA
@@ -231,12 +256,17 @@ class SequentialPhaseEstimator:
         the step was skipped because of a non-finite gradient."""
         masks = self._make_masks(rng)  # drawn even at lr 0: the rng stream stays the same
         if lr == 0.0:
+            self._checked_shots(shots)
+            self._check_label(x_index)
             return True
         _, grad = self.loss_grads(shots, x_index, masks)
-        grad += l2 * self.weights
-        if not np.all(np.isfinite(grad)):
+        # lr (grad + l2 w), built in place in one buffer
+        step = np.multiply(self.weights, l2, out=self._step)
+        step += grad
+        if not np.isfinite(step).all():
             return False
-        self.weights -= lr * grad
+        step *= lr
+        self.weights -= step
         return True
 
     def fit(

@@ -153,6 +153,25 @@ class TestSoftSetSize:
             conformal.soft_set_size(np.array([1.0]), 0.0, 0.0)
 
 
+class TestSigmoid:
+    def test_equals_clip_form_bit_for_bit(self, rng):
+        def clip_form(z):
+            return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+        inputs = [
+            rng.normal(scale=800.0, size=1000),
+            np.array([1e3, -1e3, np.inf, -np.inf, 500.0, -500.0, 0.0, -0.0]),
+        ]
+        for z in inputs:
+            want = clip_form(z)
+            assert conformal.sigmoid(z).tobytes() == want.tobytes()
+            # in place, as the estimator calls it
+            assert conformal.sigmoid(z, out=z) is z
+            assert z.tobytes() == want.tobytes()
+        for z in (1e3, -1e3, np.inf, -np.inf, 0.3):
+            assert np.float64(conformal.sigmoid(z)).tobytes() == clip_form(z).tobytes()
+
+
 class TestRiskBound:
     def test_constant_eta_value(self):
         assert abs(conformal.risk_bound(100, 0.1) - 0.11) < 1e-12

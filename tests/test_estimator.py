@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,21 @@ class TestForward:
         model = make_model(perturb=0.3)
         shots = rng.integers(4, size=10)
         np.testing.assert_array_equal(model.forward(shots), model.forward(shots))
+
+
+class TestLabelRange:
+    @pytest.mark.parametrize("x_index", [-1, 10])
+    def test_out_of_range_rejected(self, rng, x_index):
+        model = make_model(perturb=0.2)
+        shots = rng.integers(4, size=5)
+        before = model.weights.tobytes()
+        with pytest.raises(ConfigurationError):
+            model.nll(shots, x_index)
+        with pytest.raises(ConfigurationError):
+            model.loss_grads(shots, x_index)
+        with pytest.raises(ConfigurationError):
+            model.train_step(shots, x_index, 1e-2, 1e-4)
+        assert model.weights.tobytes() == before
 
 
 class TestScore:
@@ -253,6 +270,48 @@ class TestTrainStep:
         monkeypatch.setattr(model, "loss_grads", lambda *args, **kwargs: (0.0, grad))
         assert model.train_step(rng.integers(4, size=5), 2, 1e-3, 1e-4) is False
         assert model.weights.tobytes() == before
+
+    def test_zero_lr_still_validates(self, rng):
+        model = make_model(perturb=0.2, dropout=0.4)
+        with pytest.raises(ConfigurationError):
+            model.train_step(np.array([99]), 0, 0.0, 0.0)
+        with pytest.raises(ConfigurationError):
+            model.train_step(np.array([]), 0, 0.0, 0.0)
+        with pytest.raises(ConfigurationError):
+            model.train_step(rng.integers(4, size=5), 10, 0.0, 0.0)
+
+    def test_update_matches_out_of_place_form(self, rng):
+        model = make_model(perturb=0.2)
+        shots, lr, l2 = rng.integers(4, size=8), 3e-3, 1e-2
+        w = model.get_weights()
+        _, g = model.loss_grads(shots, 3)
+        assert model.train_step(shots, 3, lr, l2)
+        assert model.weights.tobytes() == (w - lr * (g + l2 * w)).tobytes()
+
+    def test_loss_grads_returns_fresh_arrays(self, rng):
+        model = make_model(perturb=0.2)
+        shots = rng.integers(4, size=8)
+        model.train_step(shots, 3, 1e-3, 1e-4)  # the update buffer is in use
+        _, g1 = model.loss_grads(shots, 3)
+        _, g2 = model.loss_grads(shots, 5)
+        for a, b in ((g1, g2), (g1, model._step), (g2, model._step), (g1, model.weights)):
+            assert not np.shares_memory(a, b)
+        assert np.any(g1 != g2)
+
+    def test_saturated_gates_stay_finite(self, rng):
+        # gate pre-activations of about ±1000: exp(1000) would overflow
+        model = make_model(perturb=0.2)
+        model.params["b0"][:] = np.where(np.arange(model.params["b0"].size) % 2, 1e3, -1e3)
+        model.params["b1"][:] = -model.params["b0"]
+        model.params["Wo"][:] = rng.normal(size=model.params["Wo"].shape)
+        shots = rng.integers(4, size=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            post = model.forward(shots)
+            _, grad = model.loss_grads(shots, 3)
+            assert model.train_step(shots, 3, 1e-3, 1e-4)
+        assert np.all(np.isfinite(post)) and abs(post.sum() - 1.0) < 1e-12
+        assert np.all(np.isfinite(grad))
 
     def test_weights_stay_finite(self, rng):
         model = make_model(perturb=0.3)
