@@ -94,13 +94,32 @@ def _bit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(bits, axis=1), ring_sign
 
 
-def _apply_1q(amps: np.ndarray, n: int, mat: np.ndarray, q: int) -> np.ndarray:
-    """Apply a 2x2 gate to qubit q; callers guarantee unitarity."""
-    if not 0 <= q < n:
-        raise IndexError(f"qubit {q} out of range for {n} qubits")
-    axis = n - 1 - q
-    t = np.tensordot(mat, amps.reshape((2,) * n), axes=([1], [axis]))
-    return np.moveaxis(t, 0, axis).reshape(-1)
+@functools.cache
+def _y_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(flip, sign), each (n, 2**n): (Y_q psi)[s] = i sign[q, s] psi[flip[q, s]].
+
+    flip[q, s] = s xor 2**q and sign[q, s] = 2 bit_q(s) - 1, computed once per
+    n and read-only, since every caller shares them.
+    """
+    s = np.arange(2**n)
+    q = np.arange(n)[:, None]
+    tables = s ^ (1 << q), 2 * ((s >> q) & 1) - 1
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _apply_all(amps: np.ndarray, n: int, mat: np.ndarray) -> np.ndarray:
+    """Apply one 2x2 matrix to every qubit of little-endian amplitudes.
+
+    Each round applies the gate to the lowest bit with one matrix product,
+    and its transposed copy rotates the next qubit into the lowest bit, so
+    after n rounds the amplitudes are back in little-endian order.
+    """
+    mat_t = mat.T
+    for _ in range(n):
+        amps = (amps.reshape(-1, 2) @ mat_t).T.reshape(-1)
+    return amps
 
 
 def _layer_states(theta: ProbeParams, n: int) -> list[np.ndarray]:
@@ -113,8 +132,7 @@ def _layer_states(theta: ProbeParams, n: int) -> list[np.ndarray]:
     ring = _bit_tables(n)[1]
     for a, b, c, g in theta.angles:
         single = rz_matrix(a) @ ry_matrix(b) @ rz_matrix(c)
-        for q in range(n):
-            amps = _apply_1q(amps, n, single, q)
+        amps = _apply_all(amps, n, single)
         # the ring of shared ZZ gates is one diagonal phase per basis state
         amps = amps * np.exp(-0.5j * g * ring)
         states.append(amps)
@@ -134,9 +152,7 @@ def _readout_amplitudes(
 ) -> np.ndarray:
     """Probe amplitudes -> phase channel -> basis change on every qubit."""
     amps = amps * np.exp(1j * x * _bit_tables(n)[0])
-    for q in range(n):
-        amps = _apply_1q(amps, n, basis, q)
-    return amps
+    return _apply_all(amps, n, basis)
 
 
 def measurement_distribution(
@@ -190,9 +206,6 @@ def log_prob_grad_table(
     return grads
 
 
-_PAULI_Y = np.array([[0, -1j], [1j, 0]])
-
-
 def log_prob_grad(
     theta: ProbeParams,
     x: float,
@@ -209,18 +222,23 @@ def log_prob_grad(
     contributes Im <lam|G|psi> at the point it acts, where G sums the
     generator over the n places the shared angle is applied: sum_q Z_q
     (diagonal n - 2 popcount) for the Rz angles, sum_q Y_q for Ry, and the
-    ring-sign table for ZZ. counts must be 0 wherever p(s|x) is 0.
+    ring-sign table for ZZ. counts holds one non-negative count per outcome,
+    shape (2**n,), and must be 0 wherever p(s|x) is 0.
     """
     states = _layer_states(theta, n)
+    counts = np.asarray(counts)
+    if counts.shape != (2**n,):
+        raise ConfigurationError(f"counts must have shape ({2**n},), got {counts.shape}")
+    if np.any(counts < 0):
+        raise ConfigurationError("outcome counts must be non-negative")
     popcount, ring = _bit_tables(n)
+    flip, sign = _y_tables(n)
     z = n - 2 * popcount
     omega = _readout_amplitudes(states[-1], x, basis, n)
     lam = np.divide(
         counts * omega, np.abs(omega) ** 2, out=np.zeros_like(omega), where=counts != 0
     )
-    undo_basis = basis.conj().T
-    for q in range(n):
-        lam = _apply_1q(lam, n, undo_basis, q)
+    lam = _apply_all(lam, n, basis.conj().T)
     lam = lam * np.exp(-1j * x * popcount)
     grads = np.zeros_like(theta.angles)
     for k in reversed(range(len(theta.angles))):
@@ -232,11 +250,9 @@ def log_prob_grad(
         grads[k, 3] = np.imag(overlap @ ring)
         undo = np.exp(0.5j * (a * z + g * ring))
         lam, psi = lam * undo, psi * undo
-        y_psi = sum(_apply_1q(psi, n, _PAULI_Y, q) for q in range(n))
+        y_psi = 1j * np.sum(sign * psi[flip], axis=0)
         grads[k, 1] = np.imag(np.vdot(lam, y_psi))
-        undo_ry = ry_matrix(-b)
-        for q in range(n):
-            lam = _apply_1q(lam, n, undo_ry, q)
+        lam = _apply_all(lam, n, ry_matrix(-b))
         lam = lam * np.exp(0.5j * c * z)
         grads[k, 2] = np.imag(np.vdot(lam, z * states[k]))
     return grads.reshape(-1)

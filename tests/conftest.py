@@ -28,11 +28,11 @@ def dense_embed(n: int, mat: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
     return full
 
 
-def random_gate(n: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Haar-ish random single-qubit unitary (via QR) on a random target qubit."""
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish random single-qubit unitary (via QR)."""
     raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(raw)
-    return q * (np.diag(r) / np.abs(np.diag(r))), int(rng.integers(n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def zero_state(n: int) -> np.ndarray:

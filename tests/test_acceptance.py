@@ -15,7 +15,7 @@ from vqsense.engine import RunConfig, aggregate, run_trial, trial_seed
 from vqsense.probe import BASES, ProbeParams, phase_grid
 
 import conftest
-from conftest import dense_embed, random_gate, zero_state
+from conftest import dense_embed, random_unitary, zero_state
 from test_probe import distribution_oracle, probe_state_oracle
 
 
@@ -155,14 +155,16 @@ class TestCriterion5SimulatorOracles:
     def test_dense_matrix_oracle(self):
         rng = np.random.default_rng(7)
         worst = 0.0
-        # the production kernel under random single-qubit unitaries
+        # the production kernel under random single-qubit unitaries, each
+        # applied to every qubit
         for n in (1, 2, 3):
             for _ in range(5):
                 amps = dense = zero_state(n)
                 for _ in range(12):
-                    mat, q = random_gate(n, rng)
-                    amps = probe._apply_1q(amps, n, mat, q)
-                    dense = dense_embed(n, mat, (q,)) @ dense
+                    mat = random_unitary(rng)
+                    amps = probe._apply_all(amps, n, mat)
+                    for q in range(n):
+                        dense = dense_embed(n, mat, (q,)) @ dense
                 worst = max(worst, np.max(np.abs(amps - dense)))
         # the structured probe circuit must also match its dense oracle
         for n in (2, 3):

@@ -5,7 +5,7 @@ from vqsense import probe
 from vqsense.engine import RunConfig
 from vqsense.probe import BASES, ConfigurationError, ProbeParams, phase_grid
 
-from conftest import dense_embed, random_gate, random_state, zero_state
+from conftest import dense_embed, random_state, random_unitary, zero_state
 
 
 def zz_matrix(angle: float) -> np.ndarray:
@@ -234,6 +234,16 @@ class TestLogProbGrad:
                 adjoint, numeric, rtol=1e-6, atol=1e-6 * np.abs(numeric).max()
             )
 
+    @pytest.mark.parametrize(
+        "counts",
+        [np.array([3]), np.array([1, 0, 2, 0, 0, 0, 0]), np.array([2, -1, 0, 0, 0, 0, 0, 0])],
+        ids=["length-one", "wrong-length", "negative"],
+    )
+    def test_malformed_counts_rejected(self, rng, counts):
+        theta = ProbeParams.random(2, rng)
+        with pytest.raises(ConfigurationError):
+            probe.log_prob_grad(theta, 0.7, BASES["hadamard"], 3, counts)
+
     def test_zero_counts_give_zero(self, rng):
         theta = ProbeParams.random(2, rng)
         grad = probe.log_prob_grad(theta, 0.7, BASES["hadamard"], 3, np.zeros(8, int))
@@ -248,13 +258,31 @@ class TestLogProbGrad:
         np.testing.assert_allclose(whole, parts, rtol=1e-12, atol=1e-12 * np.abs(whole).max())
 
 
-# The statevector kernel every probe simulation runs, checked against oracles.
-# probe._apply_1q applies the probe's rotations and the readout basis change;
-# here it is driven with gates the probe circuit does not fix (X, identity,
-# random unitaries) and compared with explicit dense matrices.
+# The statevector kernels every probe simulation runs, checked against oracles.
+# probe._apply_all applies the probe's rotations and the readout basis change
+# to every qubit; here it is driven with gates the probe circuit does not fix
+# (X, identity, random unitaries, a non-unitary matrix) and compared with
+# explicit dense matrices and with the per-qubit tensordot kernel it replaced.
+# probe._y_tables gives the sum of Pauli Y over qubits in the probe gradient.
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]])
 NO_LAYERS = ProbeParams(np.zeros((0, 4)))
+
+
+def reference_apply_1q(amps: np.ndarray, n: int, mat: np.ndarray, q: int) -> np.ndarray:
+    """The former per-qubit kernel: a tensordot on the qubit's tensor axis."""
+    axis = n - 1 - q
+    t = np.tensordot(mat, amps.reshape((2,) * n), axes=([1], [axis]))
+    return np.moveaxis(t, 0, axis).reshape(-1)
+
+
+def dense_all(n: int, mat: np.ndarray) -> np.ndarray:
+    """Dense oracle of one 2x2 matrix applied to every qubit."""
+    full = np.eye(2**n, dtype=complex)
+    for q in range(n):
+        full = dense_embed(n, mat, (q,)) @ full
+    return full
 
 
 class TestInitZeroState:
@@ -275,19 +303,14 @@ class TestInitZeroState:
 
 class TestApplyGate:
     def test_x_flips_zero(self):
-        amps = probe._apply_1q(zero_state(1), 1, X, 0)
-        np.testing.assert_allclose(amps, [0, 1], atol=1e-15)
+        for n in (1, 3):
+            amps = probe._apply_all(zero_state(n), n, X)
+            np.testing.assert_allclose(amps, np.eye(2**n)[-1], atol=1e-15)
 
     def test_identity_exact(self, rng):
         amps = random_state(3, rng)
-        out = probe._apply_1q(amps, 3, np.eye(2, dtype=complex), 1)
+        out = probe._apply_all(amps, 3, np.eye(2, dtype=complex))
         np.testing.assert_array_equal(out, amps)
-
-    @pytest.mark.parametrize("q", [2, 3, -1])
-    def test_bad_target_rejected(self, q):
-        # unchecked, q = n maps to tensor axis -1 and acts on qubit 0
-        with pytest.raises(IndexError):
-            probe._apply_1q(zero_state(2), 2, X, q)
 
     @pytest.mark.parametrize("name", sorted(BASES))
     def test_readout_bases_unitary(self, name):
@@ -298,8 +321,7 @@ class TestApplyGate:
     def test_norm_preserved_over_long_sequence(self, rng):
         amps = zero_state(3)
         for _ in range(200):
-            mat, q = random_gate(3, rng)
-            amps = probe._apply_1q(amps, 3, mat, q)
+            amps = probe._apply_all(amps, 3, random_unitary(rng))
         assert abs(np.sum(np.abs(amps) ** 2) - 1.0) < 1e-9
 
 
@@ -327,22 +349,48 @@ class TestOutcomeProbabilities:
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_random_circuits_match_dense_oracle(self, n, rng):
         for _ in range(10):
             amps = dense = zero_state(n)
             for _ in range(int(rng.integers(3, 12))):
-                mat, q = random_gate(n, rng)
-                amps = probe._apply_1q(amps, n, mat, q)
-                dense = dense_embed(n, mat, (q,)) @ dense
+                mat = random_unitary(rng)
+                amps = probe._apply_all(amps, n, mat)
+                dense = dense_all(n, mat) @ dense
             np.testing.assert_allclose(amps, dense, atol=1e-10)
+        # the kernel is linear, so a non-unitary matrix must match as well
+        mat = np.array([[1.5, -0.2j], [0.7 + 0.3j, 0.0]])
+        psi = random_state(n, rng)
+        np.testing.assert_allclose(
+            probe._apply_all(psi, n, mat), dense_all(n, mat) @ psi, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 12])
+    def test_matches_tensordot_reference(self, n, rng):
+        for mat in (random_unitary(rng), BASES["hadamard"], probe.ry_matrix(0.4)):
+            psi = random_state(n, rng)
+            want = psi
+            for q in range(n):
+                want = reference_apply_1q(want, n, mat, q)
+            # rtol on each amplitude, with an absolute floor for amplitudes
+            # far below the largest, where a reordered sum can cancel
+            np.testing.assert_allclose(
+                probe._apply_all(psi, n, mat), want,
+                rtol=1e-12, atol=1e-12 * np.abs(want).max(),
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_y_sum_matches_dense(self, n, rng):
+        psi = random_state(n, rng)
+        flip, sign = probe._y_tables(n)
+        y_psi = 1j * np.sum(sign * psi[flip], axis=0)
+        dense = sum(dense_embed(n, Y, (q,)) for q in range(n)) @ psi
+        np.testing.assert_allclose(y_psi, dense, atol=1e-12)
 
     def test_linearity(self, rng):
-        mat, q = random_gate(3, rng)
+        mat = random_unitary(rng)
         psi1, psi2 = random_state(3, rng), random_state(3, rng)
         a, b = 0.3 + 0.1j, -0.7 + 0.5j
-        combined = probe._apply_1q(a * psi1 + b * psi2, 3, mat, q)
-        separate = a * probe._apply_1q(psi1, 3, mat, q) + (
-            b * probe._apply_1q(psi2, 3, mat, q)
-        )
+        combined = probe._apply_all(a * psi1 + b * psi2, 3, mat)
+        separate = a * probe._apply_all(psi1, 3, mat) + b * probe._apply_all(psi2, 3, mat)
         np.testing.assert_allclose(combined, separate, atol=1e-12)
