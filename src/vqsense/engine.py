@@ -145,6 +145,9 @@ class RunState:
     loss_sum: float = 0.0
     steps: int = 0
     records: list[EpisodeRecord] = field(default_factory=list)
+    # p(s | x) per phase index, valid for the angles whose bytes are _dist_key
+    _dists: dict[int, np.ndarray] = field(default_factory=dict)
+    _dist_key: bytes = b""
 
     @property
     def updates_threshold(self) -> bool:
@@ -157,12 +160,35 @@ class RunState:
     def current_lambda(self) -> float:
         return self.thr.lam if self.updates_threshold else float(self.fixed_lam)
 
-    def posterior(self, shots: np.ndarray) -> np.ndarray:
+    def distribution(self, x_index: int) -> np.ndarray:
+        """p(s | x) at phase index x_index under the current angles, read-only.
+
+        The probe is simulated once per phase and angle set: the cache is
+        dropped whenever the angles change, so a frozen probe simulates at
+        most M times per trial."""
+        key = self.theta.angles.tobytes()
+        if key != self._dist_key:
+            self._dists.clear()
+            self._dist_key = key
+        dist = self._dists.get(x_index)
+        if dist is None:
+            dist = probe.measurement_distribution(
+                self.theta, self.grid[x_index], self.basis, self.cfg.n
+            )
+            dist.setflags(write=False)
+            self._dists[x_index] = dist
+        return dist
+
+    def posterior(self, shots: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+        """(posterior, run): run is the forward pass behind the posterior, for
+        train_step to reuse, when the posterior is one deterministic model's;
+        otherwise None."""
         if len(self.models) > 1 or self.models[0].dropout > 0:
-            return forward_bayesian(
+            post = forward_bayesian(
                 self.models, shots, passes=self.cfg.dropout_passes, rng=self.rng
             )
-        return self.models[0].forward(shots)
+            return post, None
+        return self.models[0].forward_run(shots)
 
 
 def init_state(cfg: RunConfig, seed: int) -> RunState:
@@ -209,10 +235,7 @@ def make_pretrain_dataset(
     dataset = []
     for _ in range(n_samples):
         x_index = int(state.rng.integers(cfg.m))
-        dist = probe.measurement_distribution(
-            state.theta, state.grid[x_index], state.basis, cfg.n
-        )
-        shots = probe.sample_shots(dist, cfg.shots, state.rng)
+        shots = probe.sample_shots(state.distribution(x_index), cfg.shots, state.rng)
         dataset.append((shots, x_index))
     return dataset
 
@@ -235,9 +258,9 @@ def pretrain_run(state: RunState) -> list[tuple[np.ndarray, int]]:
     for step in range(cfg.probe_pretrain_steps):
         _, x_index = dataset[step % len(dataset)]
         x_value = state.grid[x_index]
-        dist = probe.measurement_distribution(state.theta, x_value, state.basis, cfg.n)
+        dist = state.distribution(x_index)
         shots = probe.sample_shots(dist, cfg.shots, state.rng)
-        scores = -np.log(state.posterior(shots))
+        scores = -np.log(state.posterior(shots)[0])
         g = conformal.soft_set_size(scores, lam, cfg.tau)
         baseline = g_sum / g_count if g_count else g
         state.theta, _ = probe_grad_step(
@@ -284,9 +307,10 @@ def sense_step(state: RunState, x_index: int) -> EpisodeRecord:
     x_value = float(state.grid[x_index])
     lam = state.current_lambda()
 
-    dist = probe.measurement_distribution(state.theta, x_value, state.basis, cfg.n)
+    dist = state.distribution(x_index)
     shots = probe.sample_shots(dist, cfg.shots, state.rng)
-    scores = -np.log(state.posterior(shots))
+    post, run = state.posterior(shots)
+    scores = -np.log(post)
     mask = conformal.build_set(scores, lam)
     if cfg.loss_kind == "coverage":
         loss = conformal.coverage_loss(x_index, mask)
@@ -300,7 +324,7 @@ def sense_step(state: RunState, x_index: int) -> EpisodeRecord:
     if state.updates_params:
         lr = cfg.lr * cfg.decay ** (state.steps // cfg.decay_every)
         for model in state.models:
-            ok = model.train_step(shots, x_index, lr, cfg.l2, rng=state.rng)
+            ok = model.train_step(shots, x_index, lr, cfg.l2, rng=state.rng, run=run)
             skipped = skipped or not ok
         baseline = state.g_sum / state.g_count if state.g_count else g
         state.theta, probe_skip = probe_grad_step(

@@ -31,6 +31,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _posterior(logits: np.ndarray) -> np.ndarray:
+    """Softmax floored at EPS and renormalized."""
+    post = np.maximum(_softmax(logits), EPS)
+    return post / post.sum()
+
+
 class SequentialPhaseEstimator:
     """Recurrent posterior model p(x | shots) over M grid phases.
 
@@ -166,9 +172,13 @@ class SequentialPhaseEstimator:
         self, shots: np.ndarray, rng: np.random.Generator | None = None
     ) -> np.ndarray:
         """Posterior over the M phases; stochastic only if dropout is active."""
-        logits, _, _ = self._run(shots, self._make_masks(rng))
-        post = np.maximum(_softmax(logits), EPS)
-        return post / post.sum()
+        return _posterior(self._run(shots, self._make_masks(rng))[0])
+
+    def forward_run(self, shots: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The deterministic posterior and the forward pass behind it, which
+        train_step can take as `run` while the weights stay as they are."""
+        run = self._run(shots)
+        return _posterior(run[0]), run
 
     def scores(self, shots: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
         """Conformity score -log p(x | shots) of every phase; finite by the floor."""
@@ -181,11 +191,18 @@ class SequentialPhaseEstimator:
         return float(-np.log(_softmax(logits)[x_index]))
 
     def loss_grads(
-        self, shots: np.ndarray, x_index: int, masks=None
+        self, shots: np.ndarray, x_index: int, masks=None, run=None
     ) -> tuple[float, np.ndarray]:
-        """Cross-entropy loss and its gradient via BPTT, laid out like `weights`."""
+        """Cross-entropy loss and its gradient via BPTT, laid out like `weights`.
+
+        `run` is forward_run's pass on these shots at the current weights,
+        with no dropout masks; without it the forward pass runs here."""
         self._check_label(x_index)
-        logits, (shots, X1, cache0, cache1), h2_out = self._run(shots, masks)
+        if run is None:
+            run = self._run(shots, masks)
+        elif masks is not None or not np.array_equal(run[1][0], shots):
+            raise ConfigurationError("run must be an unmasked pass on the same shots")
+        logits, (shots, X1, cache0, cache1), h2_out = run
         d_logits = _softmax(logits)
         loss = float(-np.log(max(d_logits[x_index], 1e-300)))
         d_logits[x_index] -= 1.0
@@ -251,15 +268,17 @@ class SequentialPhaseEstimator:
         lr: float,
         l2: float,
         rng: np.random.Generator | None = None,
+        run=None,
     ) -> bool:
         """One gradient step on -log p(x_index | shots) + L2; returns False if
-        the step was skipped because of a non-finite gradient."""
+        the step was skipped because of a non-finite gradient. `run`, from
+        forward_run, saves loss_grads the forward pass."""
         masks = self._make_masks(rng)  # drawn even at lr 0: the rng stream stays the same
         if lr == 0.0:
             self._checked_shots(shots)
             self._check_label(x_index)
             return True
-        _, grad = self.loss_grads(shots, x_index, masks)
+        _, grad = self.loss_grads(shots, x_index, masks, run=run)
         # lr (grad + l2 w), built in place in one buffer
         step = np.multiply(self.weights, l2, out=self._step)
         step += grad

@@ -122,27 +122,42 @@ def _apply_all(amps: np.ndarray, n: int, mat: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _layer_states(theta: ProbeParams, n: int) -> list[np.ndarray]:
-    """Amplitudes entering each layer of the ansatz, then the probe output."""
+def _layer_states(theta: ProbeParams, n: int) -> tuple[np.ndarray, ...]:
+    """Amplitudes entering each layer of the ansatz, then the probe output.
+
+    Keyed on the angles' bytes, so an in-place edit of theta.angles runs the
+    ansatz again, while the gradient that follows a step's distribution at
+    the same angles reuses its states.
+    """
+    return _states_for(np.asarray(theta.angles, dtype=float).tobytes(), n)
+
+
+@functools.lru_cache(maxsize=1)
+def _states_for(angle_bytes: bytes, n: int) -> tuple[np.ndarray, ...]:
+    """_layer_states for one angle set, kept until the next one; read-only,
+    since every caller at those angles shares them."""
     if not 2 <= n <= MAX_QUBITS:
         raise ConfigurationError(f"probe circuit needs 2 <= n <= {MAX_QUBITS}, got {n}")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
     states = [amps]
     ring = _bit_tables(n)[1]
-    for a, b, c, g in theta.angles:
+    for a, b, c, g in np.frombuffer(angle_bytes).reshape(-1, ANGLES_PER_LAYER):
         single = rz_matrix(a) @ ry_matrix(b) @ rz_matrix(c)
         amps = _apply_all(amps, n, single)
         # the ring of shared ZZ gates is one diagonal phase per basis state
         amps = amps * np.exp(-0.5j * g * ring)
         states.append(amps)
-    return states
+    for amps in states:
+        amps.setflags(write=False)
+    return tuple(states)
 
 
 def prepare_probe(theta: ProbeParams, n: int) -> np.ndarray:
     """Run the layered ansatz on |0...0>; returns the 2**n probe amplitudes.
 
     amps[s] is the amplitude of |s>, with qubit 0 in the least-significant bit.
+    The array is read-only: it is the cached last entry of _layer_states.
     """
     return _layer_states(theta, n)[-1]
 
@@ -170,7 +185,8 @@ def sample_shots(dist: np.ndarray, shots: int, rng: np.random.Generator) -> np.n
     dist = np.asarray(dist, dtype=float)
     if shots < 1:
         raise ValueError(f"shot count must be >= 1, got {shots}")
-    if np.any(dist < -1e-12) or abs(dist.sum() - 1.0) > 1e-8:
+    # phrased so that NaN, which compares False, fails both checks
+    if not (np.all(dist >= -1e-12) and abs(dist.sum() - 1.0) <= 1e-8):
         raise ValueError("invalid probability distribution")
     cdf = np.cumsum(dist)
     cdf[-1] = 1.0

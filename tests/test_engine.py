@@ -132,7 +132,7 @@ class TestSenseStep:
         state = init_state(cfg, 0)
         seen = []
 
-        def record(model, shots, x_index, lr, l2, rng=None):
+        def record(model, shots, x_index, lr, l2, rng=None, run=None):
             seen.append(lr)
             return True
 
@@ -143,6 +143,88 @@ class TestSenseStep:
         assert seen[:2] == [1e-3, 1e-3]
         assert abs(seen[2] - 1e-4) < 1e-18
         assert abs(seen[3] - 1e-5) < 1e-18
+
+
+class TestDistributionCache:
+    def fresh(self, angles, x_value, cfg):
+        probe._states_for.cache_clear()
+        return probe.measurement_distribution(
+            probe.ProbeParams(angles), x_value, probe.BASES[cfg.basis], cfg.n
+        )
+
+    @pytest.mark.parametrize("mode", engine.MODES)
+    def test_every_step_matches_fresh_simulation(self, mode, monkeypatch):
+        cfg = fast_config(mode=mode, horizon=12)
+        state = init_state(cfg, 3)
+        pretrain_run(state)
+        sampled = []
+        sample_shots = probe.sample_shots
+
+        def spy(dist, shots, rng):
+            sampled.append(dist)
+            return sample_shots(dist, shots, rng)
+
+        monkeypatch.setattr(probe, "sample_shots", spy)
+        for t in range(cfg.horizon):
+            x_index = int(state.rng.integers(cfg.m))
+            angles = state.theta.angles.copy()
+            sense_step(state, x_index)
+            want = self.fresh(angles, state.grid[x_index], cfg)
+            assert sampled[-1].tobytes() == want.tobytes()
+        assert len(sampled) == cfg.horizon
+
+    def test_frozen_probe_simulates_once_per_phase(self, monkeypatch):
+        cfg = fast_config(mode="static-probe-estimator", eta_theta=0.0, horizon=40)
+        calls = []
+        simulate = probe.measurement_distribution
+
+        def counted(*args):
+            calls.append(args[1])
+            return simulate(*args)
+
+        monkeypatch.setattr(probe, "measurement_distribution", counted)
+        run_trial(cfg, 5)
+        assert 0 < len(calls) <= cfg.m
+        assert len(set(calls)) == len(calls)
+
+    def test_dropped_when_angles_change(self):
+        cfg = fast_config()
+        state = init_state(cfg, 0)
+        first = state.distribution(2)
+        assert state.distribution(2) is first
+        with pytest.raises(ValueError):
+            first[0] = 0.5  # shared by every step at these angles
+        state.theta.angles[0, 1] += 0.4  # an in-place edit counts as a change
+        moved = state.distribution(2)
+        assert moved.tobytes() == self.fresh(state.theta.angles, state.grid[2], cfg).tobytes()
+        assert moved.tobytes() != first.tobytes()
+        state.theta = probe.ProbeParams.random(cfg.layers, np.random.default_rng(9))
+        assert state.distribution(2).tobytes() == self.fresh(
+            state.theta.angles, state.grid[2], cfg
+        ).tobytes()
+
+
+    def test_dynamic_step_runs_each_forward_pass_once(self, monkeypatch):
+        cfg = fast_config(horizon=8)
+        state = init_state(cfg, 4)
+        pretrain_run(state)
+        runs = []
+        run = SequentialPhaseEstimator._run
+
+        def counted(model, *args, **kwargs):
+            runs.append(1)
+            return run(model, *args, **kwargs)
+
+        monkeypatch.setattr(SequentialPhaseEstimator, "_run", counted)
+        start = state.theta.angles.copy()
+        for t in range(cfg.horizon):
+            runs.clear()
+            misses = probe._states_for.cache_info().misses
+            sense_step(state, t % cfg.m)
+            assert len(runs) == 1  # the posterior's pass, reused by train_step
+            # the gradient reuses the layer states of the step's distribution
+            assert probe._states_for.cache_info().misses <= misses + 1
+        assert not np.array_equal(state.theta.angles, start)  # the probe moved
 
 
 class TestProbeGradStep:

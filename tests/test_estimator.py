@@ -288,6 +288,35 @@ class TestTrainStep:
         assert model.train_step(shots, 3, lr, l2)
         assert model.weights.tobytes() == (w - lr * (g + l2 * w)).tobytes()
 
+    @pytest.mark.parametrize("lr,l2", [(3e-3, 1e-2), (0.0, 1e-4)])
+    def test_reused_forward_pass_gives_the_same_step(self, rng, lr, l2):
+        shots = rng.integers(4, size=8)
+        plain, fed = make_model(perturb=0.2), make_model(perturb=0.2)
+        assert plain.train_step(shots, 3, lr, l2)
+        _, run = fed.forward_run(shots)
+        assert fed.train_step(shots, 3, lr, l2, run=run)
+        assert fed.weights.tobytes() == plain.weights.tobytes()
+
+    def test_reused_forward_pass_loss_grads_bytes(self, rng):
+        model = make_model(perturb=0.2)
+        shots = rng.integers(4, size=8)
+        loss, grad = model.loss_grads(shots, 6)
+        post, run = model.forward_run(shots)
+        assert post.tobytes() == model.forward(shots).tobytes()
+        loss_run, grad_run = model.loss_grads(shots, 6, run=run)
+        assert loss_run == loss and grad_run.tobytes() == grad.tobytes()
+        # the pass is not consumed: a second gradient from it is the same
+        assert model.loss_grads(shots, 6, run=run)[1].tobytes() == grad.tobytes()
+
+    def test_reused_forward_pass_checked(self, rng):
+        model = make_model(perturb=0.2, dropout=0.4)
+        shots = rng.integers(4, size=8)
+        _, run = model.forward_run(shots)
+        with pytest.raises(ConfigurationError):
+            model.loss_grads((shots + 1) % 4, 3, run=run)  # other shots
+        with pytest.raises(ConfigurationError):  # a dropout step draws masks
+            model.train_step(shots, 3, 1e-3, 0.0, rng=np.random.default_rng(0), run=run)
+
     def test_loss_grads_returns_fresh_arrays(self, rng):
         model = make_model(perturb=0.2)
         shots = rng.integers(4, size=8)

@@ -190,6 +190,61 @@ class TestSampleShots:
             probe.sample_shots(np.array([0.5, 0.6]), 10, rng)
         with pytest.raises(ValueError):
             probe.sample_shots(np.array([0.5, 0.5]), 0, rng)
+        with pytest.raises(ValueError):
+            probe.sample_shots(np.array([0.5, -0.1, 0.6]), 10, rng)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [[0.25, np.nan, 0.25, 0.25], [np.nan] * 4, [0.5, np.inf, 0.5, 0.0]],
+        ids=["one-nan", "all-nan", "inf"],
+    )
+    def test_non_finite_distribution_rejected(self, rng, dist):
+        with pytest.raises(ValueError):
+            probe.sample_shots(np.array(dist), 10, rng)
+
+
+class TestLayerStateMemo:
+    """_layer_states keeps one angle set's states, keyed on the angles' bytes."""
+
+    def fresh(self, theta, x, basis, n, counts):
+        probe._states_for.cache_clear()
+        theta = ProbeParams(theta.angles.copy())
+        return (
+            probe.measurement_distribution(theta, x, basis, n),
+            probe.log_prob_grad(theta, x, basis, n, counts),
+        )
+
+    def test_in_place_edit_recomputes(self, rng):
+        theta = ProbeParams.random(3, rng)
+        basis, counts = BASES["hadamard"], np.array([2, 0, 1, 0, 0, 3, 0, 1])
+        probe.measurement_distribution(theta, 0.6, basis, 3)  # fills the memo
+        theta.angles[1, 2] += 0.3
+        dist = probe.measurement_distribution(theta, 0.6, basis, 3)
+        grad = probe.log_prob_grad(theta, 0.6, basis, 3, counts)
+        want_dist, want_grad = self.fresh(theta, 0.6, basis, 3, counts)
+        assert dist.tobytes() == want_dist.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+        np.testing.assert_allclose(dist, distribution_oracle(theta, 0.6, basis, 3), atol=1e-12)
+
+    def test_gradient_after_distribution_matches_fresh(self, rng):
+        theta = ProbeParams.random(2, rng)
+        basis, counts = BASES["hadamard"], np.array([1, 0, 2, 0, 0, 0, 4, 1, 0, 0, 0, 0, 1, 0, 0, 1])
+        probe.measurement_distribution(theta, 1.3, basis, 4)
+        grad = probe.log_prob_grad(theta, 1.3, basis, 4, counts)
+        assert grad.tobytes() == self.fresh(theta, 1.3, basis, 4, counts)[1].tobytes()
+
+    def test_cached_states_are_read_only(self, rng):
+        theta = ProbeParams.random(2, rng)
+        states = probe._layer_states(theta, 3)
+        assert states is probe._layer_states(theta, 3)
+        for amps in states:
+            with pytest.raises(ValueError):
+                amps[0] = 0.0
+
+    def test_prepare_probe_output_is_read_only(self, rng):
+        amps = probe.prepare_probe(ProbeParams.random(2, rng), 3)
+        with pytest.raises(ValueError):
+            amps[:] = 0.0
 
 
 class TestLogProbGrad:
