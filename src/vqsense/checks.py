@@ -106,7 +106,7 @@ def check_score_function_gradient(
 
     outcomes = list(range(2**n))
     g_table = {
-        pair: conformal.soft_set_size(model.scores(np.array(pair)), lam, tau)
+        pair: conformal.soft_set_size(-np.log(model.forward(np.array(pair))[0]), lam, tau)
         for pair in itertools.product(outcomes, repeat=n_shots)
     }
 

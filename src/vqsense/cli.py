@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -197,22 +198,15 @@ def _log(out_dir: Path, message: str) -> None:
         fh.write(f"{time.time():.3f} {message}\n")
 
 
-def _run_modes(cfg: RunConfig, modes: list[str], out_dir: Path, payload: dict) -> int:
+def _run_recorded(out_dir: Path, payload: dict, work: Callable[[], list[Path]]) -> int:
+    """Write the manifest, then run work() for its artifact paths and record
+    them with their checksums. A failure leaves the manifest "partial" and
+    returns 1; Ctrl-C leaves it "interrupted" and is raised again."""
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(out_dir, payload)
     _log(out_dir, f"start {payload['command']}")
-    paths: list[Path] = []
-    curves_by_mode: dict = {}
     try:
-        for mode in modes:
-            mode_cfg = dataclasses.replace(cfg, mode=mode)
-            trials = []
-            for i in range(mode_cfg.trials):
-                records = run_trial(mode_cfg, trial_seed(mode_cfg, i))
-                trials.append(records)
-                suffix = f"{mode}_trial_{i}.jsonl" if len(modes) > 1 else f"trial_{i}.jsonl"
-                paths.append(write_records(out_dir, suffix, records))
-            curves_by_mode[mode] = aggregate(trials)
+        paths = work()
     except KeyboardInterrupt:
         payload["status"] = "interrupted"
         write_manifest(out_dir, payload)
@@ -225,13 +219,30 @@ def _run_modes(cfg: RunConfig, modes: list[str], out_dir: Path, payload: dict) -
         _log(out_dir, f"failed: {exc}")
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    paths.append(write_aggregate_csv(out_dir, "aggregate.csv", curves_by_mode))
     _finalize_manifest(out_dir, payload, paths)
     _log(out_dir, "done")
-    final = curves_by_mode[modes[0]]
     print(f"wrote {len(paths) + 1} artifacts to {out_dir}")
-    print(f"final mean coverage ({modes[0]}): {final['mean_coverage'][-1]:.4f}")
     return 0
+
+
+def _run_modes(cfg: RunConfig, modes: list[str], out_dir: Path, payload: dict) -> int:
+    def work() -> list[Path]:
+        paths, curves_by_mode = [], {}
+        for mode in modes:
+            mode_cfg = dataclasses.replace(cfg, mode=mode)
+            trials = []
+            for i in range(mode_cfg.trials):
+                records = run_trial(mode_cfg, trial_seed(mode_cfg, i))
+                trials.append(records)
+                suffix = f"{mode}_trial_{i}.jsonl" if len(modes) > 1 else f"trial_{i}.jsonl"
+                paths.append(write_records(out_dir, suffix, records))
+            curves_by_mode[mode] = aggregate(trials)
+        paths.append(write_aggregate_csv(out_dir, "aggregate.csv", curves_by_mode))
+        final = curves_by_mode[modes[0]]["mean_coverage"][-1]
+        print(f"final mean coverage ({modes[0]}): {final:.4f}")
+        return paths
+
+    return _run_recorded(out_dir, payload, work)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -270,28 +281,27 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 def cmd_pretrain(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     out_dir = resolve_out_dir(args, "pretrain")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = _manifest_base(cfg, "pretrain")
-    write_manifest(out_dir, payload)
-    state = init_state(cfg, trial_seed(cfg, 0))
-    pretrain_run(state)
-    paths = [
-        write_checkpoint(
-            out_dir / "theta.txt",
-            f"theta layers={cfg.layers} count={cfg.layers * 4}",
-            state.theta.flat(),
-        )
-    ]
-    for k, model in enumerate(state.models):
-        w = model.get_weights()
-        header = (
-            f"weights input={model.input_dim} hidden={model.hidden} "
-            f"out={model.n_levels} count={w.size}"
-        )
-        paths.append(write_checkpoint(out_dir / f"weights_{k}.txt", header, w))
-    _finalize_manifest(out_dir, payload, paths)
-    print(f"wrote checkpoints to {out_dir}")
-    return 0
+
+    def work() -> list[Path]:
+        state = init_state(cfg, trial_seed(cfg, 0))
+        pretrain_run(state)
+        paths = [
+            write_checkpoint(
+                out_dir / "theta.txt",
+                f"theta layers={cfg.layers} count={cfg.layers * 4}",
+                state.theta.flat(),
+            )
+        ]
+        for k, model in enumerate(state.models):
+            w = model.get_weights()
+            header = (
+                f"weights input={model.input_dim} hidden={model.hidden} "
+                f"out={model.n_levels} count={w.size}"
+            )
+            paths.append(write_checkpoint(out_dir / f"weights_{k}.txt", header, w))
+        return paths
+
+    return _run_recorded(out_dir, _manifest_base(cfg, "pretrain"), work)
 
 
 def _add_common_flags(p: argparse.ArgumentParser, with_mode: bool = True) -> None:

@@ -11,18 +11,25 @@ running mean of G as baseline.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import conformal, probe
-from .estimator import SequentialPhaseEstimator, forward_bayesian
+from .estimator import EPS, SequentialPhaseEstimator
 from .probe import MAX_QUBITS, ConfigurationError
 
 MODES = ("dynamic", "static", "static-threshold", "static-probe-estimator")
 LOSS_KINDS = ("coverage", "distance")
 PHASE_PROCESSES = ("iid", "drift")
 TRIAL_SEED_STRIDE = 9973
+# RunConfig field annotation -> (accepted types, description); bools never pass
+_NUMERIC_KINDS = {
+    "int": ((int, np.integer), "an integer"),
+    "float": (numbers.Real, "a real number"),
+    "float | None": ((numbers.Real, type(None)), "a real number or None"),
+}
 
 
 @dataclass
@@ -63,10 +70,10 @@ class RunConfig:
         """Reject every invalid field up front, before any artifact is written."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and (
-                isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            ):
-                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+            if f.type in _NUMERIC_KINDS:
+                allowed, what = _NUMERIC_KINDS[f.type]
+                if isinstance(value, bool) or not isinstance(value, allowed):
+                    raise ConfigurationError(f"{f.name} must be {what}, got {value!r}")
         rules = [
             ("mode", self.mode in MODES, f"must be one of {MODES}"),
             ("loss_kind", self.loss_kind in LOSS_KINDS, f"must be one of {LOSS_KINDS}"),
@@ -179,16 +186,21 @@ class RunState:
             self._dists[x_index] = dist
         return dist
 
-    def posterior(self, shots: np.ndarray) -> tuple[np.ndarray, tuple | None]:
-        """(posterior, run): run is the forward pass behind the posterior, for
-        train_step to reuse, when the posterior is one deterministic model's;
-        otherwise None."""
-        if len(self.models) > 1 or self.models[0].dropout > 0:
-            post = forward_bayesian(
-                self.models, shots, passes=self.cfg.dropout_passes, rng=self.rng
-            )
-            return post, None
-        return self.models[0].forward_run(shots)
+    def posterior(self, shots: np.ndarray) -> tuple[np.ndarray, list[tuple | None]]:
+        """(posterior, runs): the mean over members and their dropout passes,
+        floored at EPS and renormalized (a lone pass is returned as is), and
+        each member's forward pass for its train_step, None under dropout."""
+        passes = self.cfg.dropout_passes if self.cfg.dropout > 0 else 1
+        posts, runs = [], []
+        for model in self.models:
+            for _ in range(passes):
+                post, run = model.forward(shots, self.rng)
+                posts.append(post)
+            runs.append(run)
+        if len(posts) == 1:
+            return posts[0], runs
+        mean = np.maximum(np.mean(posts, axis=0), EPS)
+        return mean / mean.sum(), runs
 
 
 def init_state(cfg: RunConfig, seed: int) -> RunState:
@@ -309,7 +321,7 @@ def sense_step(state: RunState, x_index: int) -> EpisodeRecord:
 
     dist = state.distribution(x_index)
     shots = probe.sample_shots(dist, cfg.shots, state.rng)
-    post, run = state.posterior(shots)
+    post, runs = state.posterior(shots)
     scores = -np.log(post)
     mask = conformal.build_set(scores, lam)
     if cfg.loss_kind == "coverage":
@@ -323,7 +335,7 @@ def sense_step(state: RunState, x_index: int) -> EpisodeRecord:
         state.thr = conformal.update_threshold(state.thr, loss)
     if state.updates_params:
         lr = cfg.lr * cfg.decay ** (state.steps // cfg.decay_every)
-        for model in state.models:
+        for model, run in zip(state.models, runs):
             ok = model.train_step(shots, x_index, lr, cfg.l2, rng=state.rng, run=run)
             skipped = skipped or not ok
         baseline = state.g_sum / state.g_count if state.g_count else g

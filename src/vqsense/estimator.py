@@ -170,19 +170,14 @@ class SequentialPhaseEstimator:
 
     def forward(
         self, shots: np.ndarray, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        """Posterior over the M phases; stochastic only if dropout is active."""
-        return _posterior(self._run(shots, self._make_masks(rng))[0])
-
-    def forward_run(self, shots: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """The deterministic posterior and the forward pass behind it, which
-        train_step can take as `run` while the weights stay as they are."""
-        run = self._run(shots)
-        return _posterior(run[0]), run
-
-    def scores(self, shots: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Conformity score -log p(x | shots) of every phase; finite by the floor."""
-        return -np.log(self.forward(shots, rng=rng))
+    ) -> tuple[np.ndarray, tuple | None]:
+        """(posterior, run): the posterior over the M phases, stochastic only
+        if dropout is active, and the forward pass behind it, which
+        train_step and loss_grads take as `run` while the weights stay as
+        they are; run is None when dropout masks were drawn."""
+        masks = self._make_masks(rng)
+        run = self._run(shots, masks)
+        return _posterior(run[0]), run if masks is None else None
 
     def nll(self, shots: np.ndarray, x_index: int) -> float:
         """Cross-entropy of the true label (no floor); target of train_step."""
@@ -195,8 +190,8 @@ class SequentialPhaseEstimator:
     ) -> tuple[float, np.ndarray]:
         """Cross-entropy loss and its gradient via BPTT, laid out like `weights`.
 
-        `run` is forward_run's pass on these shots at the current weights,
-        with no dropout masks; without it the forward pass runs here."""
+        `run` is forward's pass on these shots at the current weights, with
+        no dropout masks; without it the forward pass runs here."""
         self._check_label(x_index)
         if run is None:
             run = self._run(shots, masks)
@@ -272,7 +267,7 @@ class SequentialPhaseEstimator:
     ) -> bool:
         """One gradient step on -log p(x_index | shots) + L2; returns False if
         the step was skipped because of a non-finite gradient. `run`, from
-        forward_run, saves loss_grads the forward pass."""
+        forward, saves loss_grads the forward pass."""
         masks = self._make_masks(rng)  # drawn even at lr 0: the rng stream stays the same
         if lr == 0.0:
             self._checked_shots(shots)
@@ -303,26 +298,3 @@ class SequentialPhaseEstimator:
             for shots, x_index in dataset:
                 self.train_step(shots, x_index, lr, l2, rng=rng)
         return self
-
-
-def forward_bayesian(
-    models: list[SequentialPhaseEstimator],
-    shots: np.ndarray,
-    passes: int = 1,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Averaged posterior over ensemble members or stochastic dropout passes."""
-    if not models:
-        raise ConfigurationError("empty ensemble")
-    if passes < 1:
-        raise ConfigurationError("passes must be >= 1")
-    posts = []
-    for m in models:
-        if m.dropout > 0:
-            for _ in range(passes):
-                posts.append(m.forward(shots, rng=rng))
-        else:
-            posts.append(m.forward(shots))
-    mean = np.mean(posts, axis=0)
-    mean = np.maximum(mean, EPS)
-    return mean / mean.sum()

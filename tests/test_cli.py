@@ -234,3 +234,28 @@ class TestCheckpoints:
         main(["pretrain", "--config", str(fast_cfg_file), "--out-dir", str(out1)])
         main(["pretrain", "--config", str(fast_cfg_file), "--out-dir", str(out2)])
         assert artifact_digests(out1) == artifact_digests(out2)
+
+    def test_pretrain_failure_marks_manifest(self, fast_cfg_file, tmp_path, monkeypatch):
+        def failing(state):
+            raise RuntimeError("pretraining diverged")
+
+        monkeypatch.setattr(cli, "pretrain_run", failing)
+        out = tmp_path / "pre"
+        assert main(["pretrain", "--config", str(fast_cfg_file), "--out-dir", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "partial"
+        assert manifest["error"] == "pretraining diverged"
+        assert {p.name for p in out.iterdir()} == {"manifest.json", "run.log"}
+        assert "failed: pretraining diverged" in (out / "run.log").read_text()
+
+    def test_pretrain_interrupt_marks_manifest(self, fast_cfg_file, tmp_path, monkeypatch):
+        def interrupted(state):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "pretrain_run", interrupted)
+        out = tmp_path / "pre"
+        with pytest.raises(KeyboardInterrupt):
+            main(["pretrain", "--config", str(fast_cfg_file), "--out-dir", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "interrupted"
+        assert {p.name for p in out.iterdir()} == {"manifest.json", "run.log"}

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 
@@ -16,7 +17,7 @@ from vqsense.engine import (
     run_trial,
     sense_step,
 )
-from vqsense.estimator import SequentialPhaseEstimator
+from vqsense.estimator import EPS, SequentialPhaseEstimator
 from vqsense.probe import ConfigurationError
 
 FAST = dict(
@@ -225,6 +226,92 @@ class TestDistributionCache:
             # the gradient reuses the layer states of the step's distribution
             assert probe._states_for.cache_info().misses <= misses + 1
         assert not np.array_equal(state.theta.angles, start)  # the probe moved
+
+
+class TestPosterior:
+    """RunState.posterior: the mean over ensemble members and dropout passes."""
+
+    @staticmethod
+    def member(seed=0, dropout=0.0, perturb=0.3):
+        model = SequentialPhaseEstimator(4, 5, hidden_size=8, dropout=dropout, seed=seed)
+        rng = np.random.default_rng(seed + 100)
+        model.set_weights(model.weights + rng.normal(scale=perturb, size=model.weights.size))
+        return model
+
+    @staticmethod
+    def state_with(models, **overrides):
+        cfg = fast_config(ensemble=len(models), dropout=models[0].dropout, **overrides)
+        state = init_state(cfg, 0)
+        state.models = models
+        return state
+
+    @staticmethod
+    def entropy(p):
+        return float(-np.sum(p * np.log(p)))
+
+    def test_identical_members_equal_single(self, rng):
+        shots = rng.integers(4, size=6)
+        single, runs = self.state_with([self.member()]).posterior(shots)
+        # a lone pass is the member's own posterior, not renormalized again
+        assert single.tobytes() == self.member().forward(shots)[0].tobytes()
+        assert len(runs) == 1 and runs[0] is not None
+        mean, runs = self.state_with([self.member() for _ in range(5)]).posterior(shots)
+        np.testing.assert_allclose(mean, single, atol=1e-12)
+        assert len(runs) == 5 and all(run is not None for run in runs)
+
+    def test_no_dropout_any_passes_equals_forward(self, rng):
+        model = self.member()
+        shots = rng.integers(4, size=6)
+        state = self.state_with([model], dropout_passes=7)
+        before = state.rng.bit_generator.state
+        post, _ = state.posterior(shots)
+        assert post.tobytes() == model.forward(shots)[0].tobytes()
+        assert state.rng.bit_generator.state == before  # no masks drawn
+
+    def test_dropout_passes_average_is_valid(self, rng):
+        shots = rng.integers(4, size=6)
+        state = self.state_with([self.member(dropout=0.4)], dropout_passes=20)
+        post, runs = state.posterior(shots)
+        assert abs(post.sum() - 1.0) < 1e-8 and np.all(post >= EPS)
+        assert runs == [None]  # train_step draws its own masks
+
+    def test_masks_drawn_member_then_pass(self, rng):
+        members = [self.member(seed=s, dropout=0.3) for s in range(2)]
+        shots = rng.integers(4, size=6)
+        state = self.state_with(members, dropout_passes=3)
+        draws = copy.deepcopy(state.rng)
+        posts = [m.forward(shots, draws)[0] for m in members for _ in range(3)]
+        mean = np.maximum(np.mean(posts, axis=0), EPS)
+        assert state.posterior(shots)[0].tobytes() == (mean / mean.sum()).tobytes()
+
+    def test_ensemble_entropy_jensen(self, rng):
+        # averaged posterior entropy >= min member entropy
+        members = [self.member(seed=s, perturb=0.5) for s in range(5)]
+        shots = rng.integers(4, size=10)
+        mixed = self.entropy(self.state_with(members).posterior(shots)[0])
+        assert mixed >= min(self.entropy(m.forward(shots)[0]) for m in members) - 1e-9
+
+    def test_ensemble_step_reuses_each_members_pass(self, monkeypatch):
+        cfg = fast_config(ensemble=3, horizon=4)
+        state = init_state(cfg, 4)
+        pretrain_run(state)
+        runs = []
+        run = SequentialPhaseEstimator._run
+
+        def counted(model, *args, **kwargs):
+            runs.append(id(model))
+            return run(model, *args, **kwargs)
+
+        monkeypatch.setattr(SequentialPhaseEstimator, "_run", counted)
+        for t in range(cfg.horizon):
+            twins = copy.deepcopy(state.models)
+            lr = cfg.lr * cfg.decay ** (state.steps // cfg.decay_every)
+            runs.clear()
+            rec = sense_step(state, t % cfg.m)
+            assert sorted(runs) == sorted(id(m) for m in state.models)
+            for model, twin in zip(state.models, twins):
+                assert twin.train_step(np.array(rec.shots), rec.x_index, lr, cfg.l2)
+                assert model.weights.tobytes() == twin.weights.tobytes()
 
 
 class TestProbeGradStep:

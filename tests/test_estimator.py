@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from vqsense.conformal import sigmoid
-from vqsense.estimator import (
-    EPS,
-    SequentialPhaseEstimator,
-    _softmax,
-    forward_bayesian,
-)
+from vqsense.estimator import EPS, SequentialPhaseEstimator, _softmax
 from vqsense.probe import ConfigurationError
 
 
@@ -28,13 +23,13 @@ class TestForward:
     def test_fresh_model_is_uniform(self, rng):
         model = make_model()
         shots = rng.integers(4, size=10)
-        np.testing.assert_array_equal(model.forward(shots), np.full(10, 0.1))
+        np.testing.assert_array_equal(model.forward(shots)[0], np.full(10, 0.1))
 
     def test_posterior_sums_to_one(self, rng):
         model = make_model(perturb=0.5)
         for _ in range(20):
             shots = rng.integers(4, size=int(rng.integers(1, 15)))
-            post = model.forward(shots)
+            post, _ = model.forward(shots)
             assert abs(post.sum() - 1.0) < 1e-8
             assert np.all(post >= EPS)
 
@@ -46,7 +41,7 @@ class TestForward:
     def test_deterministic_without_dropout(self, rng):
         model = make_model(perturb=0.3)
         shots = rng.integers(4, size=10)
-        np.testing.assert_array_equal(model.forward(shots), model.forward(shots))
+        np.testing.assert_array_equal(model.forward(shots)[0], model.forward(shots)[0])
 
 
 class TestLabelRange:
@@ -67,7 +62,7 @@ class TestLabelRange:
 class TestScore:
     def test_uniform_score_is_log_m(self):
         model = make_model()
-        assert abs(model.scores(np.array([0, 1]))[3] - np.log(10)) < 1e-12
+        assert abs(-np.log(model.forward(np.array([0, 1]))[0][3]) - np.log(10)) < 1e-12
 
     def test_floor_bounds_score(self):
         # score of the floored entry: -log(1e-12) ~ 27.631
@@ -76,10 +71,10 @@ class TestScore:
     def test_scores_vector_matches_scalar(self, rng):
         model = make_model(perturb=0.4)
         shots = rng.integers(4, size=8)
-        vec = model.scores(shots)
-        post = model.forward(shots)
+        # no entry is near the floor, so each score is that label's nll
+        scores = -np.log(model.forward(shots)[0])
         for i in range(10):
-            assert abs(vec[i] - float(-np.log(post[i]))) < 1e-12
+            assert abs(scores[i] - model.nll(shots, i)) < 1e-12
 
 
 def reference_loss_grads(model, shots, x_index, masks=None):
@@ -206,7 +201,8 @@ class TestReferenceGRU:
         # forward draws the same masks from an rng in the same state
         post = np.maximum(_softmax(logits), EPS)
         np.testing.assert_allclose(
-            model.forward(shots, rng=np.random.default_rng(99)), post / post.sum(), rtol=1e-12
+            model.forward(shots, rng=np.random.default_rng(99))[0], post / post.sum(),
+            rtol=1e-12,
         )
         _, flat = model.loss_grads(shots, 6, masks)
         grads = model._views(flat)
@@ -293,7 +289,7 @@ class TestTrainStep:
         shots = rng.integers(4, size=8)
         plain, fed = make_model(perturb=0.2), make_model(perturb=0.2)
         assert plain.train_step(shots, 3, lr, l2)
-        _, run = fed.forward_run(shots)
+        _, run = fed.forward(shots)
         assert fed.train_step(shots, 3, lr, l2, run=run)
         assert fed.weights.tobytes() == plain.weights.tobytes()
 
@@ -301,8 +297,7 @@ class TestTrainStep:
         model = make_model(perturb=0.2)
         shots = rng.integers(4, size=8)
         loss, grad = model.loss_grads(shots, 6)
-        post, run = model.forward_run(shots)
-        assert post.tobytes() == model.forward(shots).tobytes()
+        _, run = model.forward(shots)
         loss_run, grad_run = model.loss_grads(shots, 6, run=run)
         assert loss_run == loss and grad_run.tobytes() == grad.tobytes()
         # the pass is not consumed: a second gradient from it is the same
@@ -311,7 +306,8 @@ class TestTrainStep:
     def test_reused_forward_pass_checked(self, rng):
         model = make_model(perturb=0.2, dropout=0.4)
         shots = rng.integers(4, size=8)
-        _, run = model.forward_run(shots)
+        assert model.forward(shots, rng=np.random.default_rng(0))[1] is None  # masked
+        _, run = model.forward(shots)
         with pytest.raises(ConfigurationError):
             model.loss_grads((shots + 1) % 4, 3, run=run)  # other shots
         with pytest.raises(ConfigurationError):  # a dropout step draws masks
@@ -336,7 +332,7 @@ class TestTrainStep:
         shots = rng.integers(4, size=8)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            post = model.forward(shots)
+            post, _ = model.forward(shots)
             _, grad = model.loss_grads(shots, 3)
             assert model.train_step(shots, 3, 1e-3, 1e-4)
         assert np.all(np.isfinite(post)) and abs(post.sum() - 1.0) < 1e-12
@@ -383,47 +379,6 @@ class TestFit:
         np.testing.assert_array_equal(a.get_weights(), b.get_weights())
 
 
-class TestForwardBayesian:
-    def test_identical_members_equal_single(self, rng):
-        model = make_model(perturb=0.3)
-        shots = rng.integers(4, size=6)
-        ensemble = [make_model(perturb=0.3) for _ in range(5)]
-        np.testing.assert_allclose(
-            forward_bayesian(ensemble, shots), model.forward(shots), atol=1e-12
-        )
-
-    def test_no_dropout_any_passes_equals_forward(self, rng):
-        model = make_model(perturb=0.3, dropout=0.0)
-        shots = rng.integers(4, size=6)
-        out = forward_bayesian([model], shots, passes=7, rng=rng)
-        np.testing.assert_allclose(out, model.forward(shots), atol=1e-12)
-
-    def test_dropout_passes_average_is_valid(self, rng):
-        model = make_model(perturb=0.3, dropout=0.4)
-        shots = rng.integers(4, size=6)
-        post = forward_bayesian([model], shots, passes=20, rng=rng)
-        assert abs(post.sum() - 1.0) < 1e-8
-
-    def test_ensemble_entropy_jensen(self, rng):
-        # averaged posterior entropy >= min member entropy
-        members = [make_model(seed=s, perturb=0.5) for s in range(5)]
-        shots = rng.integers(4, size=10)
-        def entropy(p):
-            return float(-np.sum(p * np.log(p)))
-        mixed = entropy(forward_bayesian(members, shots))
-        assert mixed >= min(entropy(m.forward(shots)) for m in members) - 1e-9
-
-    def test_empty_ensemble_rejected(self):
-        with pytest.raises(ConfigurationError):
-            forward_bayesian([], np.array([0]))
-
-    @pytest.mark.parametrize("passes", [0, -1])
-    def test_passes_below_one_rejected(self, rng, passes):
-        model = make_model(perturb=0.3, dropout=0.4)
-        with pytest.raises(ConfigurationError):
-            forward_bayesian([model], np.array([0, 1]), passes=passes, rng=rng)
-
-
 class TestCheckpointRoundtrip:
     def test_weights_roundtrip(self):
         model = make_model(perturb=0.2)
@@ -443,7 +398,7 @@ class TestCheckpointRoundtrip:
             pos += view.size
         assert pos == w.size
         # the zero head is overwritten, so the posterior is no longer uniform
-        assert not np.allclose(model.forward(shots), 0.1)
+        assert not np.allclose(model.forward(shots)[0], 0.1)
         model.train_step(shots, 3, 1e-2, 0.0)
         for view in model.params.values():
             assert np.shares_memory(view, model.weights)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vqsense import probe
 from vqsense.engine import RunConfig
@@ -41,6 +42,16 @@ def probe_state_oracle(theta: ProbeParams, n: int) -> np.ndarray:
         for q in range(n):
             amps = dense_embed(n, zz_matrix(g), (q, (q + 1) % n)) @ amps
     return amps
+
+
+def dihedral_images(n: int):
+    """Each element of D_n acting on bit positions, as the image index of
+    every outcome: bit q of s moves to bit (shift + q) or (shift - q) mod n.
+    That is all n cyclic shifts, each with and without reflection."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    for shift in range(n):
+        for sign in (1, -1):
+            yield (bits << (shift + sign * np.arange(n)) % n).sum(axis=1)
 
 
 class TestPhaseGrid:
@@ -164,6 +175,29 @@ class TestMeasurementDistribution:
             s2 = sum(bits[(q - 1) % n] << q for q in range(n))
             shifted[s2] = dist[s]
         np.testing.assert_allclose(dist, shifted, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([3, 4, 5, 8]),
+        basis=st.sampled_from(sorted(BASES)),
+        layers=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        x=st.floats(0.0, 2 * np.pi),
+    )
+    def test_dihedral_invariance(self, n, basis, layers, seed, x):
+        # every gate is shared by all qubits and the ZZ gates sit on a ring,
+        # so relabeling the qubits by any element of D_n leaves p(s | x), and
+        # the prepared probe's own outcome probabilities, as they are
+        theta = ProbeParams.random(layers, np.random.default_rng(seed))
+        dists = (
+            probe.measurement_distribution(theta, x, BASES[basis], n),
+            np.abs(probe.prepare_probe(theta, n)) ** 2,
+        )
+        images = list(dihedral_images(n))
+        assert len({im.tobytes() for im in images}) == 2 * n
+        for dist in dists:
+            for image in images:
+                np.testing.assert_allclose(dist[image], dist, rtol=0, atol=1e-14)
 
 
 class TestSampleShots:

@@ -1,9 +1,10 @@
 """Property tests: the threshold update's telescoping identity and the
 all-or-ConfigurationError contract of RunConfig validation, under which every
-float field of a config that constructs is finite and every int field holds
-an int."""
+float field of a config that constructs is a finite real that is not a bool and
+every int field holds an int."""
 import dataclasses
 import math
+import numbers
 
 from hypothesis import given, settings, strategies as st
 
@@ -39,10 +40,11 @@ def test_threshold_update_telescopes(schedule, l_max, eta, alpha, lam, fractions
 
 # the non-finite values get a branch of their own so they are drawn often
 WIDE_FLOAT = st.sampled_from([math.inf, -math.inf, math.nan]) | st.floats()
+ANY_FLOAT = WIDE_FLOAT | st.booleans() | st.text()
 STRATEGY_BY_TYPE = {
     "int": st.integers(-(10**12), 10**12) | st.booleans() | WIDE_FLOAT,
-    "float": WIDE_FLOAT,
-    "float | None": st.none() | WIDE_FLOAT,
+    "float": ANY_FLOAT,
+    "float | None": st.none() | ANY_FLOAT,
 }
 NUMERIC_FIELDS = {
     f.name: STRATEGY_BY_TYPE[f.type]
@@ -68,6 +70,8 @@ def test_run_config_constructs_or_raises_configuration_error(fields):
         return
     for name in FLOAT_FIELDS:
         value = getattr(cfg, name)
-        assert value is None or math.isfinite(value), name
+        if value is not None:
+            assert isinstance(value, numbers.Real) and not isinstance(value, bool), name
+            assert math.isfinite(value), name
     for name in INT_FIELDS:
         assert type(getattr(cfg, name)) is int, name
