@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from collections.abc import Callable
 from pathlib import Path
 
@@ -29,6 +30,7 @@ import numpy as np
 from . import __version__, checks
 from .engine import (
     MODES,
+    TRIAL_SEED_STRIDE,
     EpisodeRecord,
     RunConfig,
     aggregate,
@@ -171,7 +173,7 @@ def _manifest_base(cfg: RunConfig, command: str, extra: dict | None = None) -> d
         "command": command,
         "version": __version__,
         "config": cfg.to_dict(),
-        "seed_rule": f"trial i uses seed + i*9973 (base seed {cfg.seed})",
+        "seed_rule": f"trial i uses seed + i*{TRIAL_SEED_STRIDE} (base seed {cfg.seed})",
         "decisions": {
             "measurement_basis": cfg.basis,
             "recurrent_cell": "gru",
@@ -200,8 +202,9 @@ def _log(out_dir: Path, message: str) -> None:
 
 def _run_recorded(out_dir: Path, payload: dict, work: Callable[[], list[Path]]) -> int:
     """Write the manifest, then run work() for its artifact paths and record
-    them with their checksums. A failure leaves the manifest "partial" and
-    returns 1; Ctrl-C leaves it "interrupted" and is raised again."""
+    them with their checksums. A failure leaves the manifest "partial", its
+    traceback in run.log, and returns 1; Ctrl-C leaves it "interrupted" and
+    is raised again."""
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(out_dir, payload)
     _log(out_dir, f"start {payload['command']}")
@@ -216,7 +219,7 @@ def _run_recorded(out_dir: Path, payload: dict, work: Callable[[], list[Path]]) 
         payload["status"] = "partial"
         payload["error"] = str(exc)
         write_manifest(out_dir, payload)
-        _log(out_dir, f"failed: {exc}")
+        _log(out_dir, f"failed: {exc}\n{traceback.format_exc().rstrip()}")
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _finalize_manifest(out_dir, payload, paths)

@@ -20,7 +20,7 @@ EMPTY_SET_DISTANCE = np.pi  # cap for the min-distance loss of an empty set
 
 @dataclass(frozen=True)
 class ThresholdState:
-    """Threshold lam plus its step-size schedule and loss bookkeeping.
+    """Threshold lam plus its step-size schedule and update count.
 
     With schedule="decay" the step size at (1-indexed) step t is eta/sqrt(t);
     "constant" uses eta throughout. t counts completed updates.
@@ -32,7 +32,6 @@ class ThresholdState:
     schedule: str = "constant"
     l_max: float = 1.0
     t: int = 0
-    cum_loss: float = 0.0
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -84,12 +83,7 @@ def update_threshold(state: ThresholdState, loss: float) -> ThresholdState:
     if not 0 <= loss <= state.l_max + 1e-12:
         raise ValueError(f"loss {loss} outside [0, {state.l_max}]")
     eta_t = state.step_size()
-    return replace(
-        state,
-        lam=state.lam + eta_t * (loss - state.alpha),
-        t=state.t + 1,
-        cum_loss=state.cum_loss + loss,
-    )
+    return replace(state, lam=state.lam + eta_t * (loss - state.alpha), t=state.t + 1)
 
 
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

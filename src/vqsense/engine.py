@@ -146,7 +146,7 @@ class RunState:
     basis: np.ndarray  # readout unitary, an entry of probe.BASES
     grid: np.ndarray
     rng: np.random.Generator
-    fixed_lam: float | None = None  # set for static / static-threshold modes
+    # sum and count of the soft set sizes G: probe_grad_step's baseline
     g_sum: float = 0.0
     g_count: int = 0
     loss_sum: float = 0.0
@@ -163,9 +163,6 @@ class RunState:
     @property
     def updates_params(self) -> bool:
         return self.cfg.mode in ("dynamic", "static-threshold")
-
-    def current_lambda(self) -> float:
-        return self.thr.lam if self.updates_threshold else float(self.fixed_lam)
 
     def distribution(self, x_index: int) -> np.ndarray:
         """p(s | x) at phase index x_index under the current angles, read-only.
@@ -204,9 +201,16 @@ class RunState:
 
 
 def init_state(cfg: RunConfig, seed: int) -> RunState:
-    """Fresh trial state: random probe angles, fresh estimator(s), lam_1."""
+    """Fresh trial state: random probe angles, fresh estimator(s), lam_1.
+
+    The static modes draw their fixed threshold uniform in [0, 2] right after
+    the angles; the estimators seed their own generators."""
     rng = np.random.default_rng(seed)
     theta = probe.ProbeParams.random(cfg.layers, rng)
+    if cfg.mode in ("static", "static-threshold"):
+        lam = float(rng.uniform(0.0, 2.0))
+    else:
+        lam = cfg.lambda_start
     models = [
         SequentialPhaseEstimator(
             input_dim=2**cfg.n,
@@ -218,13 +222,13 @@ def init_state(cfg: RunConfig, seed: int) -> RunState:
         for k in range(cfg.ensemble)
     ]
     thr = conformal.ThresholdState(
-        lam=cfg.lambda_start,
+        lam=lam,
         eta=cfg.eta,
         alpha=cfg.alpha,
         schedule=cfg.schedule,
         l_max=cfg.l_max,
     )
-    state = RunState(
+    return RunState(
         cfg=cfg,
         theta=theta,
         models=models,
@@ -233,10 +237,6 @@ def init_state(cfg: RunConfig, seed: int) -> RunState:
         grid=probe.phase_grid(cfg.m),
         rng=rng,
     )
-    if cfg.mode in ("static", "static-threshold"):
-        # Fixed threshold drawn once per trial, uniform in [0, 2].
-        state.fixed_lam = float(rng.uniform(0.0, 2.0))
-    return state
 
 
 def make_pretrain_dataset(
@@ -258,66 +258,60 @@ def pretrain_run(state: RunState) -> list[tuple[np.ndarray, int]]:
     Estimator: repeated cross-entropy sweeps. Probe: a fixed budget of
     score-function steps on the soft set size at the initial threshold,
     cycling through the pretraining phases with freshly resampled shots
-    (the recorded shots carry no probe-angle dependence).
+    (the recorded shots carry no probe-angle dependence). The baseline
+    accumulators are reset afterwards, so the sensing loop's starts fresh.
     """
     cfg = state.cfg
     dataset = make_pretrain_dataset(state, cfg.pretrain_samples)
     for model in state.models:
         model.fit(dataset, cfg.pretrain_lr, cfg.l2, cfg.pretrain_epochs, rng=state.rng)
 
-    lam = cfg.lambda_start
-    g_sum, g_count = 0.0, 0
     for step in range(cfg.probe_pretrain_steps):
         _, x_index = dataset[step % len(dataset)]
-        x_value = state.grid[x_index]
         dist = state.distribution(x_index)
         shots = probe.sample_shots(dist, cfg.shots, state.rng)
         scores = -np.log(state.posterior(shots)[0])
-        g = conformal.soft_set_size(scores, lam, cfg.tau)
-        baseline = g_sum / g_count if g_count else g
-        state.theta, _ = probe_grad_step(
-            state.theta, shots, dist, g, baseline, x_value, state.basis, cfg
-        )
-        g_sum += g
-        g_count += 1
+        g = conformal.soft_set_size(scores, cfg.lambda_start, cfg.tau)
+        probe_grad_step(state, x_index, shots, dist, g)
+    state.g_sum, state.g_count = 0.0, 0
     return dataset
 
 
 def probe_grad_step(
-    theta: probe.ProbeParams,
-    shots: np.ndarray,
-    dist: np.ndarray,
-    g_value: float,
-    baseline: float,
-    x_value: float,
-    basis: np.ndarray,
-    cfg: RunConfig,
-) -> tuple[probe.ProbeParams, bool]:
+    state: RunState, x_index: int, shots: np.ndarray, dist: np.ndarray, g_value: float
+) -> bool:
     """theta <- theta - eta_theta * (G - b) * sum_l grad log p(s_l | x).
 
-    Shots s with dist[s] <= probe.PROB_FLOOR are skipped; returns the new
-    angles and a flag that is True when any shot was skipped.
+    The baseline b is the mean of the earlier G in state.g_sum / g_count (G
+    itself on the first call), and G is then added to them. Shots s with
+    dist[s] <= probe.PROB_FLOOR are skipped; writes state.theta and returns
+    True when any shot was skipped.
     """
+    cfg = state.cfg
+    baseline = state.g_sum / state.g_count if state.g_count else g_value
+    state.g_sum += g_value
+    state.g_count += 1
     if cfg.eta_theta == 0.0:
-        return theta, False
+        return False
     usable = [s for s in shots if dist[s] > probe.PROB_FLOOR]
     if not usable:
-        return theta, True
+        return True
     grad_logp = probe.log_prob_grad(
-        theta, x_value, basis, cfg.n, np.bincount(usable, minlength=2**cfg.n)
+        state.theta, state.grid[x_index], state.basis, cfg.n,
+        np.bincount(usable, minlength=2**cfg.n),
     )
     ghat = (g_value - baseline) * grad_logp
     if not np.all(np.isfinite(ghat)):
-        return theta, True
-    flat = theta.flat() - cfg.eta_theta * ghat
-    return probe.ProbeParams.from_flat(flat), len(usable) < len(shots)
+        return True
+    state.theta = probe.ProbeParams.from_flat(state.theta.flat() - cfg.eta_theta * ghat)
+    return len(usable) < len(shots)
 
 
 def sense_step(state: RunState, x_index: int) -> EpisodeRecord:
     """One full sensing step; mutates the trial state per the run mode."""
     cfg = state.cfg
     x_value = float(state.grid[x_index])
-    lam = state.current_lambda()
+    lam = state.thr.lam
 
     dist = state.distribution(x_index)
     shots = probe.sample_shots(dist, cfg.shots, state.rng)
@@ -338,13 +332,7 @@ def sense_step(state: RunState, x_index: int) -> EpisodeRecord:
         for model, run in zip(state.models, runs):
             ok = model.train_step(shots, x_index, lr, cfg.l2, rng=state.rng, run=run)
             skipped = skipped or not ok
-        baseline = state.g_sum / state.g_count if state.g_count else g
-        state.theta, probe_skip = probe_grad_step(
-            state.theta, shots, dist, g, baseline, x_value, state.basis, cfg
-        )
-        skipped = skipped or probe_skip
-    state.g_sum += g
-    state.g_count += 1
+        skipped = probe_grad_step(state, x_index, shots, dist, g) or skipped
 
     state.loss_sum += loss
     state.steps += 1

@@ -268,11 +268,7 @@ class SequentialPhaseEstimator:
         """One gradient step on -log p(x_index | shots) + L2; returns False if
         the step was skipped because of a non-finite gradient. `run`, from
         forward, saves loss_grads the forward pass."""
-        masks = self._make_masks(rng)  # drawn even at lr 0: the rng stream stays the same
-        if lr == 0.0:
-            self._checked_shots(shots)
-            self._check_label(x_index)
-            return True
+        masks = self._make_masks(rng)
         _, grad = self.loss_grads(shots, x_index, masks, run=run)
         # lr (grad + l2 w), built in place in one buffer
         step = np.multiply(self.weights, l2, out=self._step)

@@ -69,10 +69,8 @@ class ProbeParams:
         return cls(values.reshape(-1, ANGLES_PER_LAYER))
 
     @classmethod
-    def random(
-        cls, layers: int, rng: np.random.Generator, scale: float = np.pi
-    ) -> "ProbeParams":
-        return cls(rng.uniform(-scale, scale, size=(layers, ANGLES_PER_LAYER)))
+    def random(cls, layers: int, rng: np.random.Generator) -> "ProbeParams":
+        return cls(rng.uniform(-np.pi, np.pi, size=(layers, ANGLES_PER_LAYER)))
 
 
 def phase_grid(m: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from vqsense.cli import (
     write_checkpoint,
     ConfigFileError,
 )
+from vqsense.engine import RunConfig, trial_seed
 
 FAST_CONFIG = """
 # small run for tests
@@ -139,6 +141,15 @@ class TestRunArtifacts:
             data = (out / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_manifest_states_the_trial_seed_stride(self, fast_cfg_file, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(fast_cfg_file), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        cfg = RunConfig(**manifest["config"])
+        stride = re.fullmatch(r"trial i uses seed \+ i\*(\d+) \(base seed \d+\)",
+                              manifest["seed_rule"])
+        assert int(stride.group(1)) == trial_seed(cfg, 1) - cfg.seed
+
     def test_interrupt_marks_manifest(self, fast_cfg_file, tmp_path, monkeypatch):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
@@ -172,7 +183,19 @@ class TestRunArtifacts:
             cli.write_aggregate_csv(tmp_path, "aggregate.csv", {"dynamic": {"t": [1]}})
         assert [p.name for p in tmp_path.iterdir()] == ["trial_0.jsonl"]
 
-    def test_determinism_byte_identical(self, fast_cfg_file, tmp_path):
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "",
+            # a frozen probe reads its distributions from the engine's cache
+            "mode = static-probe-estimator\neta_theta = 0\n",
+            "ensemble = 2\n",
+            "dropout = 0.2\ndropout_passes = 3\n",
+        ],
+        ids=["default", "frozen-probe", "ensemble", "dropout"],
+    )
+    def test_determinism_byte_identical(self, fast_cfg_file, tmp_path, extra):
+        fast_cfg_file.write_text(FAST_CONFIG + extra)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", str(fast_cfg_file), "--out-dir", str(out1)]) == 0
         assert main(["run", "--config", str(fast_cfg_file), "--out-dir", str(out2)]) == 0
@@ -246,7 +269,9 @@ class TestCheckpoints:
         assert manifest["status"] == "partial"
         assert manifest["error"] == "pretraining diverged"
         assert {p.name for p in out.iterdir()} == {"manifest.json", "run.log"}
-        assert "failed: pretraining diverged" in (out / "run.log").read_text()
+        log = (out / "run.log").read_text()
+        assert "failed: pretraining diverged" in log
+        assert "Traceback" in log and "in failing" in log
 
     def test_pretrain_interrupt_marks_manifest(self, fast_cfg_file, tmp_path, monkeypatch):
         def interrupted(state):

@@ -91,7 +91,7 @@ class TestThresholdUpdate:
         state = ThresholdState(lam=1.0, eta=0.1, alpha=0.3)
         state = update_threshold(state, 1.0)
         state = update_threshold(state, 0.0)
-        assert state.t == 2 and state.cum_loss == 1.0
+        assert state.t == 2
 
     def test_decay_schedule_step_sizes(self):
         state = ThresholdState(lam=0.0, eta=0.2, alpha=0.5, schedule="decay")

@@ -39,6 +39,13 @@ def state_hash(state):
     return hashlib.sha256(payload).hexdigest()
 
 
+def grad_state(theta, g_sum=1.0, g_count=1, **overrides):
+    """A trial state at angles theta whose probe baseline is g_sum / g_count."""
+    state = init_state(fast_config(layers=len(theta.angles), **overrides), 0)
+    state.theta, state.g_sum, state.g_count = theta, g_sum, g_count
+    return state
+
+
 class TestRunConfig:
     def test_defaults_valid(self):
         cfg = RunConfig()
@@ -82,20 +89,32 @@ class TestSenseStep:
         cfg = fast_config(mode="static")
         state = init_state(cfg, 0)
         before = state_hash(state)
-        lam_before = state.current_lambda()
+        lam_before = state.thr.lam
         rec = sense_step(state, 2)
         assert isinstance(rec, EpisodeRecord)
         assert state_hash(state) == before
-        assert state.current_lambda() == lam_before
+        assert state.thr.lam == lam_before
 
     def test_static_threshold_freezes_lambda_only(self):
         cfg = fast_config(mode="static-threshold")
         state = init_state(cfg, 0)
         before = state_hash(state)
-        lam = state.current_lambda()
+        lam = state.thr.lam
         sense_step(state, 1)
-        assert state.current_lambda() == lam
+        assert state.thr.lam == lam
         assert state_hash(state) != before  # theta and w moved
+
+    @pytest.mark.parametrize("mode", ["static", "static-threshold"])
+    def test_static_threshold_drawn_after_angles(self, mode):
+        cfg = fast_config(mode=mode)
+        state = init_state(cfg, 11)
+        rng = np.random.default_rng(11)
+        probe.ProbeParams.random(cfg.layers, rng)
+        lam = rng.uniform(0.0, 2.0)
+        assert state.thr.lam == lam
+        for t in range(4):
+            assert sense_step(state, t % cfg.m).lam_before == lam
+        assert state.thr.lam == lam
 
     def test_static_probe_estimator_freezes_params_only(self):
         cfg = fast_config(mode="static-probe-estimator")
@@ -104,6 +123,7 @@ class TestSenseStep:
         sense_step(state, 1)
         assert state_hash(state) == before
         assert state.thr.t == 1
+        assert state.g_count == 0  # no probe update, so no baseline either
 
     def test_loss_at_target_leaves_lambda(self):
         cfg = fast_config(mode="dynamic", alpha=0.5)
@@ -316,64 +336,48 @@ class TestPosterior:
 
 class TestProbeGradStep:
     def test_zero_rate_no_change(self, rng):
-        cfg = fast_config(eta_theta=0.0)
-        theta = probe.ProbeParams.random(2, rng)
-        basis = probe.BASES["hadamard"]
-        dist = probe.measurement_distribution(theta, 0.5, basis, 2)
-        out, _ = probe_grad_step(theta, np.array([0, 1]), dist, 2.0, 1.0, 0.5, basis, cfg)
-        np.testing.assert_array_equal(out.flat(), theta.flat())
+        state = grad_state(probe.ProbeParams.random(2, rng), eta_theta=0.0)
+        before = state.theta.flat()
+        assert not probe_grad_step(state, 1, np.array([0, 1]), state.distribution(1), 2.0)
+        np.testing.assert_array_equal(state.theta.flat(), before)
+        assert (state.g_sum, state.g_count) == (3.0, 2)  # G still joins the baseline
 
     def test_zero_advantage_no_change(self, rng):
-        cfg = fast_config()
-        theta = probe.ProbeParams.random(2, rng)
-        basis = probe.BASES["hadamard"]
-        dist = probe.measurement_distribution(theta, 0.5, basis, 2)
-        out, _ = probe_grad_step(theta, np.array([0, 1]), dist, 3.0, 3.0, 0.5, basis, cfg)
-        np.testing.assert_allclose(out.flat(), theta.flat(), atol=1e-15)
+        # baseline 6 / 2 equals G = 3
+        state = grad_state(probe.ProbeParams.random(2, rng), g_sum=6.0, g_count=2)
+        before = state.theta.flat()
+        probe_grad_step(state, 1, np.array([0, 1]), state.distribution(1), 3.0)
+        np.testing.assert_allclose(state.theta.flat(), before, atol=1e-15)
 
     def test_all_shots_degenerate_flags(self):
-        cfg = fast_config(basis="computational")
-        theta = probe.ProbeParams(np.zeros((2, 4)))
-        basis = probe.BASES["computational"]
-        dist = probe.measurement_distribution(theta, 0.5, basis, 2)
+        state = grad_state(probe.ProbeParams(np.zeros((2, 4))), basis="computational")
         # outcome 3 has probability 0 under the all-zero-angle probe
-        out, flagged = probe_grad_step(
-            theta, np.array([3, 3]), dist, 2.0, 1.0, 0.5, basis, cfg
-        )
-        assert flagged
-        np.testing.assert_array_equal(out.flat(), theta.flat())
+        assert probe_grad_step(state, 2, np.array([3, 3]), state.distribution(2), 2.0)
+        np.testing.assert_array_equal(state.theta.flat(), np.zeros(8))
 
     def test_zero_probability_shot_flagged_and_ignored(self):
         # |++> with a ZZ phase g, read in the Hadamard basis at x = 0, gives
         # p = (cos^2 g, 0, 0, sin^2 g): outcome 1 is impossible, outcome 0 is not
-        cfg = fast_config(layers=1)
         theta = probe.ProbeParams([[0.0, np.pi / 2, 0.0, 0.3]])
-        basis = probe.BASES["hadamard"]
-        dist = probe.measurement_distribution(theta, 0.0, basis, 2)
+        alone, mixed = grad_state(theta), grad_state(theta)
+        dist = alone.distribution(0)  # grid phase 0
         assert dist[1] <= probe.PROB_FLOOR < dist[0]
-        alone, flag_alone = probe_grad_step(
-            theta, np.array([0]), dist, 2.0, 1.0, 0.0, basis, cfg
-        )
-        mixed, flag_mixed = probe_grad_step(
-            theta, np.array([0, 1]), dist, 2.0, 1.0, 0.0, basis, cfg
-        )
-        assert not flag_alone and flag_mixed
-        assert not np.array_equal(alone.flat(), theta.flat())
-        np.testing.assert_array_equal(mixed.flat(), alone.flat())
-
+        assert not probe_grad_step(alone, 0, np.array([0]), dist, 2.0)
+        assert probe_grad_step(mixed, 0, np.array([0, 1]), dist, 2.0)
+        assert not np.array_equal(alone.theta.flat(), theta.flat())
+        np.testing.assert_array_equal(mixed.theta.flat(), alone.theta.flat())
 
     def test_matches_fd_table_update(self, rng):
-        cfg = fast_config(n=3, eta_theta=0.5)
         theta = probe.ProbeParams.random(2, rng)
-        basis = probe.BASES["hadamard"]
-        dist = probe.measurement_distribution(theta, 0.9, basis, 3)
+        state = grad_state(theta, n=3, eta_theta=0.5)
+        dist = state.distribution(1)
         shots = np.argsort(dist)[::-1][[0, 0, 1]]  # the likeliest outcome twice
-        out, flagged = probe_grad_step(theta, shots, dist, 2.5, 1.0, 0.9, basis, cfg)
-        table = probe.log_prob_grad_table(theta, 0.9, basis, 3)
+        assert not probe_grad_step(state, 1, shots, dist, 2.5)
+        table = probe.log_prob_grad_table(theta, state.grid[1], state.basis, 3)
         expected = theta.flat() - 0.5 * 1.5 * table[shots].sum(axis=0)
-        assert not flagged
-        assert np.max(np.abs(out.flat() - theta.flat())) > 1e-3
-        np.testing.assert_allclose(out.flat(), expected, rtol=0, atol=1e-9)
+        out = state.theta.flat()
+        assert np.max(np.abs(out - theta.flat())) > 1e-3
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9)
 
 
 class TestPretrainRun:
@@ -395,6 +399,15 @@ class TestPretrainRun:
             [state.models[0].nll(s, xi) for s, xi in dataset]
         )
         assert mean_ce < np.log(cfg.m)
+
+    def test_resets_probe_baseline(self):
+        state = init_state(fast_config(), 2)
+        pretrain_run(state)
+        assert (state.g_sum, state.g_count) == (0.0, 0)
+        before = state.theta.angles.tobytes()
+        rec = sense_step(state, 1)
+        assert state.theta.angles.tobytes() == before  # its baseline is its own G
+        assert (state.g_sum, state.g_count) == (rec.soft_size, 1)
 
     def test_same_seed_identical(self):
         cfg = fast_config()

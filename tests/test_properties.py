@@ -23,18 +23,16 @@ from vqsense.probe import ConfigurationError
     fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300),
 )
 def test_threshold_update_telescopes(schedule, l_max, eta, alpha, lam, fractions):
-    """lam_T - lam_1 = sum_t eta_t (loss_t - alpha) and cum_loss = sum_t loss_t."""
+    """lam_T - lam_1 = sum_t eta_t (loss_t - alpha), and t counts the updates."""
     state = ThresholdState(lam=lam, eta=eta, alpha=alpha, schedule=schedule, l_max=l_max)
-    drift = scale = total = 0.0
+    drift = scale = 0.0
     for t, fraction in enumerate(fractions, start=1):
         loss = fraction * l_max
         eta_t = eta if schedule == "constant" else eta / math.sqrt(t)
         drift += eta_t * (loss - alpha)
         scale += abs(eta_t * (loss - alpha))
-        total += loss
         state = update_threshold(state, loss)
     assert state.t == len(fractions)
-    assert state.cum_loss == total
     assert abs((state.lam - lam) - drift) <= 1e-12 * len(fractions) * (abs(lam) + scale)
 
 
