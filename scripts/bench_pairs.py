@@ -15,8 +15,10 @@ per-layer figures of each side, including the share of distribution lookups
 served without a simulation (1 - probe.simulate.calls / probe.sample.calls:
 every sampled step looks its distribution up once). Last, `vqsense run` on each
 side with --identity-seeds of every workload and a few other modes compares
-the sha256 of trial_0.jsonl and aggregate.csv. Everything goes to
-BENCH_<topic>.json.
+the sha256 of trial_0.jsonl and aggregate.csv; where they differ, it records
+the first step whose shots, set or threshold differ, the largest relative
+score difference before it, and each side's coverage, average loss and mean
+set size. Everything goes to BENCH_<topic>.json.
 """
 from __future__ import annotations
 
@@ -102,8 +104,9 @@ def compare(parent_runs, change_runs, better: dict) -> dict:
     return out
 
 
-def digests(side: Path, config_text: str, work: Path) -> dict:
-    """sha256 of trial_0.jsonl and aggregate.csv from one `vqsense run`."""
+def artifacts(side: Path, config_text: str, work: Path) -> tuple[dict, list[dict]]:
+    """sha256 of trial_0.jsonl and aggregate.csv from one `vqsense run`, and
+    the records of trial_0.jsonl."""
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     (work / "run.cfg").write_text(config_text)
@@ -112,10 +115,36 @@ def digests(side: Path, config_text: str, work: Path) -> dict:
          "--out-dir", str(work / "out")],
         cwd=side, capture_output=True, check=True,
         env={**os.environ, **BLAS_THREADS, "PYTHONPATH": str(side / "src")})
-    result = {f: hashlib.sha256((work / "out" / f).read_bytes()).hexdigest()
-              for f in ("trial_0.jsonl", "aggregate.csv")}
+    digests = {f: hashlib.sha256((work / "out" / f).read_bytes()).hexdigest()
+               for f in ("trial_0.jsonl", "aggregate.csv")}
+    records = [json.loads(line) for line in (work / "out" / "trial_0.jsonl").open()]
     shutil.rmtree(work)
-    return result
+    return digests, records
+
+
+def outcome(records: list[dict]) -> dict:
+    """A trial's coverage, final average loss and mean set size."""
+    return {"coverage": float(np.mean([r["set_mask"][r["x_index"]] for r in records])),
+            "avg_loss": records[-1]["avg_loss"],
+            "mean_set_size": float(np.mean([r["set_size"] for r in records]))}
+
+
+def divergence(parent: list[dict], change: list[dict]) -> dict:
+    """Where two trials of one config part: the first step whose shots, set
+    or threshold differ (None if none does), the largest relative score
+    difference over the steps before it, and both sides' outcomes."""
+    first, worst = None, 0.0
+    for a, b in zip(parent, change):
+        fields = [k for k in ("shots", "set_mask", "lam_before") if a[k] != b[k]]
+        if fields:
+            first = {"t": a["t"], "fields": fields}
+            break
+        sa, sb = np.array(a["scores"]), np.array(b["scores"])
+        scale = np.maximum(np.abs(sa), np.abs(sb))
+        rel = np.divide(np.abs(sa - sb), scale, out=np.zeros_like(scale), where=scale > 0)
+        worst = max(worst, float(rel.max()))
+    return {"first_differing_step": first, "max_rel_score_diff": worst,
+            "parent": outcome(parent), "change": outcome(change)}
 
 
 def seed_range(text: str) -> list[int]:
@@ -194,10 +223,13 @@ def main(argv: list[str] | None = None) -> int:
                 text = (ROOT / "perfbench" / "workloads" / f"{wl}.cfg").read_text()
                 identity[f"{wl} seed={seed}"] = text + f"\nseed = {seed}\n"
         identity.update(EXTRA_CONFIGS)
-    same = {}
+    same, diverged = {}, {}
     for label, text in identity.items():
-        d = [digests(sides[s], text, args.work_dir / "identity") for s in ("parent", "change")]
-        same[label] = d[0] == d[1]
+        (da, ra), (db, rb) = [artifacts(sides[s], text, args.work_dir / "identity")
+                              for s in ("parent", "change")]
+        same[label] = da == db
+        if not same[label]:
+            diverged[label] = divergence(ra, rb)
         print(f"identity {label}: {same[label]}", file=sys.stderr, flush=True)
 
     env = timed[WORKLOADS[0]]["parent"][0]["env"]
@@ -217,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         "claim": claim,
         **report,
         "byte_identical": {"configs": len(same), "identical": sum(same.values()),
-                           "differ": sorted(k for k, v in same.items() if not v)},
+                           "differ": sorted(diverged), "divergence": diverged},
     }
     out = ROOT / f"BENCH_{args.topic}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")

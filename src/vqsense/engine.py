@@ -339,10 +339,10 @@ def sense_step(state: RunState, x_index: int) -> EpisodeRecord:
     record = EpisodeRecord(
         t=state.steps,
         x_index=int(x_index),
-        shots=[int(s) for s in shots],
+        shots=shots.tolist(),
         lam_before=float(lam),
-        scores=[float(v) for v in scores],
-        set_mask=[bool(v) for v in mask],
+        scores=scores.tolist(),
+        set_mask=mask.tolist(),
         set_size=conformal.set_size(mask),
         loss=float(loss),
         soft_size=float(g),

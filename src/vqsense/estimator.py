@@ -107,27 +107,28 @@ class SequentialPhaseEstimator:
         """One cell over the whole sequence, given its input projections WX
         (L, 3H); returns the hidden states Hs (L+1, H), Hs[0] = 0, and the
         gates ZR (L, 2H), RH and C (L, H). The bias joins WX once, and each
-        step writes its gates straight into their rows."""
+        step writes its gates straight into the row views it is handed."""
         H = self.hidden
         U = self.params[f"U{layer}"]
         U_zr, U_c = U[: 2 * H], U[2 * H :]
         A = WX + self.params[f"b{layer}"]
-        A_zr, A_c = A[:, : 2 * H], A[:, 2 * H :]
         L = len(A)
         Hs = np.zeros((L + 1, H))
         ZR, RH, C = np.empty((L, 2 * H)), np.empty((L, H)), np.empty((L, H))
-        for t in range(L):
-            h, zr, c, h_next = Hs[t], ZR[t], C[t], Hs[t + 1]
-            np.dot(U_zr, h, out=zr)
-            zr += A_zr[t]
+        dot, mul, sub, tanh = np.dot, np.multiply, np.subtract, np.tanh
+        rows = zip(Hs[:-1], Hs[1:], A[:, : 2 * H], A[:, 2 * H :],
+                   ZR, ZR[:, :H], ZR[:, H:], RH, C)
+        for h, h_next, a_zr, a_c, zr, z, r, rh, c in rows:
+            dot(U_zr, h, out=zr)
+            zr += a_zr
             sigmoid(zr, out=zr)
-            rh = np.multiply(zr[H:], h, out=RH[t])
-            np.dot(U_c, rh, out=c)
-            c += A_c[t]
-            np.tanh(c, out=c)
+            mul(r, h, out=rh)
+            dot(U_c, rh, out=c)
+            c += a_c
+            tanh(c, out=c)
             # h + z (c - h), which is (1 - z) h + z c
-            np.subtract(c, h, out=h_next)
-            h_next *= zr[:H]
+            sub(c, h, out=h_next)
+            h_next *= z
             h_next += h
         return Hs, ZR, RH, C
 
@@ -148,7 +149,7 @@ class SequentialPhaseEstimator:
         shots = np.asarray(shots, dtype=np.int64)
         if shots.ndim != 1 or len(shots) == 0:
             raise ConfigurationError("shots must be a nonempty 1-d integer array")
-        if np.any(shots < 0) or np.any(shots >= self.input_dim):
+        if shots.min() < 0 or shots.max() >= self.input_dim:
             raise ConfigurationError("shot outcome out of range for input dimension")
         return shots
 
@@ -202,8 +203,10 @@ class SequentialPhaseEstimator:
         loss = float(-np.log(max(d_logits[x_index], 1e-300)))
         d_logits[x_index] -= 1.0
 
-        flat_grad = np.zeros_like(self.weights)
+        # every block but W0 is written whole; W0 gets column adds
+        flat_grad = np.empty_like(self.weights)
         grads = self._views(flat_grad)
+        grads["W0"].fill(0.0)
         np.multiply.outer(d_logits, h2_out, out=grads["Wo"])
         grads["bo"][:] = d_logits
 
@@ -212,12 +215,14 @@ class SequentialPhaseEstimator:
         if masks is not None:
             d_out[-1] *= masks[1]
         DA1 = self._layer_back(1, cache1, d_out, grads)
-        grads["W1"][:] = DA1.T @ X1
+        np.matmul(DA1.T, X1, out=grads["W1"])
         dX1 = DA1 @ self.params["W1"]
         if masks is not None:
             dX1 *= masks[0]
         DA0 = self._layer_back(0, cache0, dX1, grads)
-        np.add.at(grads["W0"].T, shots, DA0)  # column adds; repeated shots add up
+        dW0 = grads["W0"].T
+        for s, da in zip(shots.tolist(), DA0):  # in order; repeated shots add up
+            dW0[s] += da
         return loss, flat_grad
 
     def _layer_back(self, layer: int, cache, d_out: np.ndarray, grads) -> np.ndarray:
@@ -237,22 +242,25 @@ class SequentialPhaseEstimator:
         G = 1 - Z
         DA = np.empty((len(C), 3 * H))
         dh, d, drh = np.zeros(H), np.empty(H), np.empty(H)
-        for t in reversed(range(len(C))):
-            da = DA[t]
-            np.add(dh, d_out[t], out=d)
-            dac = np.multiply(d, F_c[t], out=da[2 * H :])
-            np.dot(dac, U_c, out=drh)
-            np.multiply(drh, F_r[t], out=da[H : 2 * H])
-            np.multiply(d, F_z[t], out=da[:H])
+        dot, mul, add = np.dot, np.multiply, np.add
+        rows = zip(DA[:, : 2 * H], DA[:, :H], DA[:, H : 2 * H], DA[:, 2 * H :],
+                   d_out, F_c, F_r, F_z, G, R)
+        for da_zr, da_z, da_r, da_c, d_o, f_c, f_r, f_z, g, r in reversed(list(rows)):
+            add(dh, d_o, out=d)
+            mul(d, f_c, out=da_c)
+            dot(da_c, U_c, out=drh)
+            mul(drh, f_r, out=da_r)
+            mul(d, f_z, out=da_z)
             # dh = d (1 - z) + drh r + U_zr^T da_zr
-            d *= G[t]
-            drh *= R[t]
+            d *= g
+            drh *= r
             d += drh
-            np.dot(da[: 2 * H], U_zr, out=dh)
+            dot(da_zr, U_zr, out=dh)
             dh += d
-        grads[f"U{layer}"][: 2 * H] = DA[:, : 2 * H].T @ H_prev
-        grads[f"U{layer}"][2 * H :] = DA[:, 2 * H :].T @ RH
-        grads[f"b{layer}"][:] = DA.sum(0)
+        dU = grads[f"U{layer}"]
+        np.matmul(DA[:, : 2 * H].T, H_prev, out=dU[: 2 * H])
+        np.matmul(DA[:, 2 * H :].T, RH, out=dU[2 * H :])
+        DA.sum(0, out=grads[f"b{layer}"])
         return DA
 
     # -- training --------------------------------------------------------------
@@ -273,7 +281,9 @@ class SequentialPhaseEstimator:
         # lr (grad + l2 w), built in place in one buffer
         step = np.multiply(self.weights, l2, out=self._step)
         step += grad
-        if not np.isfinite(step).all():
+        # one pass: step . step is finite when every entry is; only if it is
+        # not (an inf or NaN entry, or an overflow) look entry by entry
+        if not np.isfinite(step @ step) and not np.isfinite(step).all():
             return False
         step *= lr
         self.weights -= step

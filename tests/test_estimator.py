@@ -247,11 +247,13 @@ class TestTrainStep:
         np.testing.assert_allclose(deltas[1], 0.1 * deltas[0], rtol=1e-6, atol=1e-15)
         np.testing.assert_allclose(deltas[2], 0.01 * deltas[0], rtol=1e-6, atol=1e-15)
 
-    def test_nonfinite_gradient_leaves_weights_unchanged(self, rng, monkeypatch):
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_gradient_leaves_weights_unchanged(self, rng, monkeypatch, bad, where):
         model = make_model(perturb=0.2)
         before = model.weights.tobytes()
         grad = np.zeros(model.weights.size)
-        grad[7] = np.nan
+        grad[{"first": 0, "middle": grad.size // 2, "last": -1}[where]] = bad
         monkeypatch.setattr(model, "loss_grads", lambda *args, **kwargs: (0.0, grad))
         assert model.train_step(rng.integers(4, size=5), 2, 1e-3, 1e-4) is False
         assert model.weights.tobytes() == before
