@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conformal import sigmoid
 from .probe import ConfigurationError
 
 EPS = 1e-12
@@ -107,11 +106,14 @@ class SequentialPhaseEstimator:
         """One cell over the whole sequence, given its input projections WX
         (L, 3H); returns the hidden states Hs (L+1, H), Hs[0] = 0, and the
         gates ZR (L, 2H), RH and C (L, H). The bias joins WX once, and each
-        step writes its gates straight into the row views it is handed."""
+        step writes its gates straight into the row views it is handed.
+        z and r are sigmoid(a) = 0.5 tanh(a / 2) + 0.5, so U_zr and the z, r
+        columns of A are halved once here (exactly, a power of two)."""
         H = self.hidden
         U = self.params[f"U{layer}"]
-        U_zr, U_c = U[: 2 * H], U[2 * H :]
+        U_zr, U_c = 0.5 * U[: 2 * H], U[2 * H :]
         A = WX + self.params[f"b{layer}"]
+        A[:, : 2 * H] *= 0.5
         L = len(A)
         Hs = np.zeros((L + 1, H))
         ZR, RH, C = np.empty((L, 2 * H)), np.empty((L, H)), np.empty((L, H))
@@ -121,7 +123,9 @@ class SequentialPhaseEstimator:
         for h, h_next, a_zr, a_c, zr, z, r, rh, c in rows:
             dot(U_zr, h, out=zr)
             zr += a_zr
-            sigmoid(zr, out=zr)
+            tanh(zr, out=zr)
+            zr *= 0.5
+            zr += 0.5
             mul(r, h, out=rh)
             dot(U_c, rh, out=c)
             c += a_c
