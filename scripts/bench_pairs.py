@@ -13,12 +13,16 @@ goes first alternates (the change first in odd pairs), and the workloads are
 interleaved within a pair. Then --traced pairs of `--trace 1` runs give the
 per-layer figures of each side, including the share of distribution lookups
 served without a simulation (1 - probe.simulate.calls / probe.sample.calls:
-every sampled step looks its distribution up once). Last, `vqsense run` on each
-side with --identity-seeds of every workload and a few other modes compares
-the sha256 of trial_0.jsonl and aggregate.csv; where they differ, it records
-the first step whose shots, set or threshold differ, the largest relative
-score difference before it, and each side's coverage, average loss and mean
-set size. Everything goes to BENCH_<topic>.json.
+every sampled step looks its distribution up once). --dropout-step-pairs
+pairs then time a `dropout = 0.4` sensing step in-process on each side (the
+median step of one pretrained trial), alternating which side goes first. Last,
+`vqsense run` on each side with --identity-seeds of every workload and a few
+other modes compares the sha256 of trial_0.jsonl and aggregate.csv, and
+records each config's mean set size; where the digests differ, it records the
+first step whose shots, set, threshold or loss differ, the largest relative
+score difference before it, whether that stays within SCORE_RTOL, and each
+side's coverage, average loss and mean set size. Everything goes to
+BENCH_<topic>.json.
 """
 from __future__ import annotations
 
@@ -36,13 +40,35 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("trial-n4", "serve-n4")
-# Other modes whose artifacts must not move, each a config for `vqsense run`.
+# Other modes whose artifacts are compared, each a config for `vqsense run`.
+# The static modes' fixed threshold ~ U[0, 2] must fall inside the score range
+# (about log m) or every set is empty: at m = 3, seed 13 draws 1.04.
 EXTRA_CONFIGS = {
-    "static": "trials = 1\nmode = static\nseed = 3\n",
-    "static-threshold": "trials = 1\nmode = static-threshold\nseed = 3\n",
+    "static": "trials = 1\nmode = static\nm = 3\nseed = 13\n",
+    "static-threshold": "trials = 1\nmode = static-threshold\nm = 3\nseed = 13\n",
     "dropout-0.2": "trials = 1\ndropout = 0.2\nseed = 3\n",
     "ensemble-3": "trials = 1\nensemble = 3\nseed = 3\n",
+    "static-pe-dropout": "trials = 1\nmode = static-probe-estimator\ndropout = 0.2\nseed = 3\n",
+    "static-pe-ensemble": "trials = 1\nmode = static-probe-estimator\nensemble = 3\nseed = 3\n",
 }
+# Largest relative score difference a config whose digests differ may show
+# while its shots, sets, thresholds and losses all match.
+SCORE_RTOL = 1e-12
+# One pretrained `dropout = 0.4` trial (10 passes), timed step by step in
+# process; prints the median step in ms.
+DROPOUT_STEP = """
+import statistics, sys, time
+from vqsense.engine import RunConfig, init_state, phase_sequence, pretrain_run, sense_step
+cfg = RunConfig(dropout=0.4, trials=1)
+state = init_state(cfg, int(sys.argv[1]))
+pretrain_run(state)
+times = []
+for x_index in phase_sequence(cfg, state.rng):
+    start = time.perf_counter()
+    sense_step(state, int(x_index))
+    times.append(time.perf_counter() - start)
+print(statistics.median(times) * 1e3)
+"""
 BLAS_THREADS = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -78,6 +104,15 @@ def bench(side: Path, workload: str, seed: int, seconds: float, trace: int) -> d
     return {"seed": seed, "exit_code": proc.returncode, "correct": out["correct"],
             "failed": out["failed"], "attempted": out["attempted"], "env": env,
             "metrics": {k: m["value"] for k, m in out["metrics"].items()}}
+
+
+def dropout_step_ms(side: Path, seed: int) -> float:
+    """Median `dropout = 0.4` sensing step of one pretrained trial, in ms."""
+    proc = subprocess.run(
+        [sys.executable, "-c", DROPOUT_STEP, str(seed)], cwd=side, capture_output=True,
+        text=True, check=True,
+        env={**os.environ, **BLAS_THREADS, "PYTHONPATH": str(side / "src")})
+    return float(proc.stdout.split()[-1])
 
 
 def quartiles(values) -> dict:
@@ -130,12 +165,13 @@ def outcome(records: list[dict]) -> dict:
 
 
 def divergence(parent: list[dict], change: list[dict]) -> dict:
-    """Where two trials of one config part: the first step whose shots, set
-    or threshold differ (None if none does), the largest relative score
-    difference over the steps before it, and both sides' outcomes."""
+    """Where two trials of one config part: the first step whose shots, set,
+    threshold or loss differ (None if none does), the largest relative score
+    difference over the steps before it, whether the trials agree but for
+    scores within SCORE_RTOL, and both sides' outcomes."""
     first, worst = None, 0.0
     for a, b in zip(parent, change):
-        fields = [k for k in ("shots", "set_mask", "lam_before") if a[k] != b[k]]
+        fields = [k for k in ("shots", "set_mask", "lam_before", "loss") if a[k] != b[k]]
         if fields:
             first = {"t": a["t"], "fields": fields}
             break
@@ -144,6 +180,7 @@ def divergence(parent: list[dict], change: list[dict]) -> dict:
         rel = np.divide(np.abs(sa - sb), scale, out=np.zeros_like(scale), where=scale > 0)
         worst = max(worst, float(rel.max()))
     return {"first_differing_step": first, "max_rel_score_diff": worst,
+            "within_score_rtol": first is None and worst <= SCORE_RTOL,
             "parent": outcome(parent), "change": outcome(change)}
 
 
@@ -161,6 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--traced", type=int, default=3, help="traced pairs per workload")
     parser.add_argument("--seed-base", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=50.0)
+    parser.add_argument("--dropout-step-pairs", type=int, default=10)
     parser.add_argument("--identity-seeds", default="1-20", help="e.g. 1-20; empty to skip")
     parser.add_argument("--claim", default="serve-n4:step_ms_mean")
     parser.add_argument("--work-dir", type=Path, default=ROOT / ".bench_pairs")
@@ -216,6 +254,26 @@ def main(argv: list[str] | None = None) -> int:
         k: m[k] for k in ("change_wins", "median_ratio", "median_gap_beats_parent_iqr")}}
     claim["met"] = claim["change_wins"] >= 0.9 * args.pairs and m["median_gap_beats_parent_iqr"]
 
+    dropout_ms = {"parent": [], "change": []}
+    for i in range(args.dropout_step_pairs):
+        seed = args.seed_base + 201 + i
+        for side in ("change", "parent") if i % 2 == 0 else ("parent", "change"):
+            dropout_ms[side].append(dropout_step_ms(sides[side], seed))
+        print(f"dropout step seed={seed}: parent {dropout_ms['parent'][-1]:.3f} ms, "
+              f"change {dropout_ms['change'][-1]:.3f} ms", file=sys.stderr, flush=True)
+    dropout_step = {}
+    if args.dropout_step_pairs:
+        pairs = list(zip(dropout_ms["parent"], dropout_ms["change"]))
+        dropout_step = {
+            "config": "RunConfig(dropout=0.4, trials=1), pretrained, 200 dynamic steps; "
+                      "the value is the median sense_step in ms, timed in process",
+            "seeds": [args.seed_base + 201 + i for i in range(args.dropout_step_pairs)],
+            "parent": quartiles(dropout_ms["parent"]), "change": quartiles(dropout_ms["change"]),
+            "change_wins": sum(b < a for a, b in pairs),
+            "speedup_per_pair": quartiles([a / b for a, b in pairs]),
+            "parent_ms": dropout_ms["parent"], "change_ms": dropout_ms["change"],
+        }
+
     identity = {}
     if args.identity_seeds:
         for seed in seed_range(args.identity_seeds):
@@ -223,14 +281,18 @@ def main(argv: list[str] | None = None) -> int:
                 text = (ROOT / "perfbench" / "workloads" / f"{wl}.cfg").read_text()
                 identity[f"{wl} seed={seed}"] = text + f"\nseed = {seed}\n"
         identity.update(EXTRA_CONFIGS)
-    same, diverged = {}, {}
+    same, diverged, set_sizes = {}, {}, {}
     for label, text in identity.items():
         (da, ra), (db, rb) = [artifacts(sides[s], text, args.work_dir / "identity")
                               for s in ("parent", "change")]
         same[label] = da == db
+        set_sizes[label] = {"parent": outcome(ra)["mean_set_size"],
+                            "change": outcome(rb)["mean_set_size"]}
         if not same[label]:
             diverged[label] = divergence(ra, rb)
-        print(f"identity {label}: {same[label]}", file=sys.stderr, flush=True)
+        print(f"identity {label}: {same[label]}, mean set size "
+              f"{set_sizes[label]['parent']:.3f} / {set_sizes[label]['change']:.3f}",
+              file=sys.stderr, flush=True)
 
     env = timed[WORKLOADS[0]]["parent"][0]["env"]
     result = {
@@ -248,8 +310,12 @@ def main(argv: list[str] | None = None) -> int:
                     f"{args.seed_base + 101}; quartiles are numpy's linear percentiles",
         "claim": claim,
         **report,
+        "dropout_step": dropout_step,
         "byte_identical": {"configs": len(same), "identical": sum(same.values()),
-                           "differ": sorted(diverged), "divergence": diverged},
+                           "differ": sorted(diverged), "score_rtol": SCORE_RTOL,
+                           "differ_beyond_score_rtol": sorted(
+                               k for k, d in diverged.items() if not d["within_score_rtol"]),
+                           "mean_set_size": set_sizes, "divergence": diverged},
     }
     out = ROOT / f"BENCH_{args.topic}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")

@@ -104,10 +104,11 @@ def check_score_function_gradient(
     model = SequentialPhaseEstimator(input_dim=2**n, n_levels=m, hidden_size=16, seed=seed)
     model.set_weights(model.get_weights() + rng.normal(scale=0.3, size=model.get_weights().size))
 
-    outcomes = list(range(2**n))
+    pairs = list(itertools.product(range(2**n), repeat=n_shots))
+    posts = model.forward(np.array(pairs))[0]  # one batched pass over all pairs
     g_table = {
-        pair: conformal.soft_set_size(-np.log(model.forward(np.array(pair))[0]), lam, tau)
-        for pair in itertools.product(outcomes, repeat=n_shots)
+        pair: conformal.soft_set_size(-np.log(post), lam, tau)
+        for pair, post in zip(pairs, posts)
     }
 
     def expected_g(flat_theta: np.ndarray) -> float:

@@ -24,6 +24,9 @@ MODES = ("dynamic", "static", "static-threshold", "static-probe-estimator")
 LOSS_KINDS = ("coverage", "distance")
 PHASE_PROCESSES = ("iid", "drift")
 TRIAL_SEED_STRIDE = 9973
+# Shot sequences per forward call when a frozen trial scores ahead: at H = 64
+# a block of 16 ran faster than one of 32 and needs half the memory.
+BLOCK = 16
 # RunConfig field annotation -> (accepted types, description); bools never pass
 _NUMERIC_KINDS = {
     "int": ((int, np.integer), "an integer"),
@@ -183,21 +186,35 @@ class RunState:
             self._dists[x_index] = dist
         return dist
 
-    def posterior(self, shots: np.ndarray) -> tuple[np.ndarray, list[tuple | None]]:
-        """(posterior, runs): the mean over members and their dropout passes,
-        floored at EPS and renormalized (a lone pass is returned as is), and
-        each member's forward pass for its train_step, None under dropout."""
-        passes = self.cfg.dropout_passes if self.cfg.dropout > 0 else 1
+    @property
+    def passes(self) -> tuple:
+        """Dropout passes per member as a shape: (dropout_passes,) or ()."""
+        return (self.cfg.dropout_passes,) if self.cfg.dropout > 0 else ()
+
+    def posterior(
+        self, shots: np.ndarray, masks: list | None = None
+    ) -> tuple[np.ndarray, list[tuple | None]]:
+        """(posterior, runs) of one shot sequence (L,), or of each row of a
+        block (B, L): the mean over members and their dropout passes, floored
+        at EPS and renormalized (a lone pass is returned as is), and each
+        member's forward pass for its train_step, None under dropout or for a
+        block. masks[k] holds member k's dropout masks, shots.shape[:-1] +
+        (P, 2, H); by default they are drawn here, member after member."""
+        if masks is None:
+            masks = [model.dropout_masks(self.rng, shots.shape[:-1] + self.passes)
+                     for model in self.models]
         posts, runs = [], []
-        for model in self.models:
-            for _ in range(passes):
-                post, run = model.forward(shots, self.rng)
-                posts.append(post)
+        for model, member_masks in zip(self.models, masks):
+            post, run = model.forward(shots, member_masks)
+            posts.append(post)
             runs.append(run)
-        if len(posts) == 1:
-            return posts[0], runs
-        mean = np.maximum(np.mean(posts, axis=0), EPS)
-        return mean / mean.sum(), runs
+        # members, then their passes, along the axis before the phases
+        stacked = np.stack(posts, axis=shots.ndim - 1)
+        stacked = stacked.reshape(*shots.shape[:-1], -1, self.cfg.m)
+        if stacked.shape[-2] == 1:
+            return stacked[..., 0, :], runs
+        mean = np.maximum(stacked.mean(axis=-2), EPS)
+        return mean / mean.sum(-1, keepdims=True), runs
 
 
 def init_state(cfg: RunConfig, seed: int) -> RunState:
@@ -307,15 +324,24 @@ def probe_grad_step(
     return len(usable) < len(shots)
 
 
-def sense_step(state: RunState, x_index: int) -> EpisodeRecord:
-    """One full sensing step; mutates the trial state per the run mode."""
+def sense_step(
+    state: RunState, x_index: int, scored: tuple[np.ndarray, np.ndarray] | None = None
+) -> EpisodeRecord:
+    """One full sensing step; mutates the trial state per the run mode.
+
+    scored, if given, is this step's (shots, posterior), drawn and scored
+    ahead under the current probe and weights; otherwise the step draws its
+    shots from state.rng and scores them itself."""
     cfg = state.cfg
     x_value = float(state.grid[x_index])
     lam = state.thr.lam
 
     dist = state.distribution(x_index)
-    shots = probe.sample_shots(dist, cfg.shots, state.rng)
-    post, runs = state.posterior(shots)
+    if scored is None:
+        shots = probe.sample_shots(dist, cfg.shots, state.rng)
+        post, runs = state.posterior(shots)
+    else:
+        (shots, post), runs = scored, [None] * len(state.models)
     scores = -np.log(post)
     mask = conformal.build_set(scores, lam)
     if cfg.loss_kind == "coverage":
@@ -362,14 +388,40 @@ def phase_sequence(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
     return np.round(pos).astype(np.int64)
 
 
+def frozen_posteriors(state: RunState, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every step's shots (T, L) and posterior (T, M) for a trial that
+    updates neither the probe nor the estimators. Each step's shots, then
+    each member's dropout masks, are drawn from state.rng in sense_step's
+    order; the sequences are scored BLOCK at a time."""
+    cfg, rng = state.cfg, state.rng
+    shots = np.empty((len(xs), cfg.shots), dtype=np.int64)
+    posts = np.empty((len(xs), cfg.m))
+    for start in range(0, len(xs), BLOCK):
+        block = slice(start, min(start + BLOCK, len(xs)))
+        step_masks = []
+        for t in range(block.start, block.stop):
+            shots[t] = probe.sample_shots(state.distribution(int(xs[t])), cfg.shots, rng)
+            step_masks.append([m.dropout_masks(rng, state.passes) for m in state.models])
+        masks = [np.stack(m) for m in zip(*step_masks)] if state.passes else None
+        posts[block] = state.posterior(shots[block], masks)[0]
+    return shots, posts
+
+
 def run_trial(cfg: RunConfig, seed: int, pretrain: bool = True) -> list[EpisodeRecord]:
-    """One full trial: init, pretrain, then `horizon` sensing steps."""
+    """One full trial: init, pretrain, then `horizon` sensing steps. When the
+    probe and estimators stay fixed, the steps' posteriors are scored in
+    blocks ahead of the steps (frozen_posteriors), with the same draws."""
     state = init_state(cfg, seed)
     if pretrain:
         pretrain_run(state)
     xs = phase_sequence(cfg, state.rng)
-    for x_index in xs:
-        sense_step(state, int(x_index))
+    if state.updates_params:
+        for x_index in xs:
+            sense_step(state, int(x_index))
+    else:
+        shots, posts = frozen_posteriors(state, xs)
+        for x_index, scored in zip(xs, zip(shots, posts)):
+            sense_step(state, int(x_index), scored)
     return state.records
 
 

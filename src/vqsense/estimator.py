@@ -8,6 +8,10 @@ column W0[:, s], the product of W0 with the one-hot vector of s.
 Layer 0 never reads layer 1, so each cell runs over the whole sequence before
 the next one starts, forward and backward; layer 1's input projection and
 every weight gradient are then one matrix product per sequence.
+`forward` also scores a block of sequences at once: the cells then carry a
+trailing batch axis, so each time step is one matrix product for the whole
+block, and layer 0 runs once per sequence however many dropout passes
+layer 1 runs over it.
 Backpropagation through time is written out by hand so gradients can be
 checked against finite differences.
 
@@ -25,15 +29,16 @@ EPS = 1e-12
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
+    """Softmax over axis 0: the M phases, ahead of any batch axis."""
+    shifted = logits - logits.max(0)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(0)
 
 
 def _posterior(logits: np.ndarray) -> np.ndarray:
-    """Softmax floored at EPS and renormalized."""
+    """Softmax floored at EPS and renormalized, over axis 0."""
     post = np.maximum(_softmax(logits), EPS)
-    return post / post.sum()
+    return post / post.sum(0)
 
 
 class SequentialPhaseEstimator:
@@ -104,19 +109,23 @@ class SequentialPhaseEstimator:
     # -- forward / backward ---------------------------------------------------
     def _layer(self, layer: int, WX: np.ndarray):
         """One cell over the whole sequence, given its input projections WX
-        (L, 3H); returns the hidden states Hs (L+1, H), Hs[0] = 0, and the
-        gates ZR (L, 2H), RH and C (L, H). The bias joins WX once, and each
-        step writes its gates straight into the row views it is handed.
+        (L, 3H), or (L, 3H, B) for B sequences side by side; returns the
+        hidden states Hs (L+1, H[, B]), Hs[0] = 0, and the gates ZR
+        (L, 2H[, B]), RH and C (L, H[, B]). The bias joins WX once, in
+        place (WX is always a fresh product or gather), and each step writes
+        its gates straight into the row views it is handed.
         z and r are sigmoid(a) = 0.5 tanh(a / 2) + 0.5, so U_zr and the z, r
         columns of A are halved once here (exactly, a power of two)."""
         H = self.hidden
-        U = self.params[f"U{layer}"]
+        U, b = self.params[f"U{layer}"], self.params[f"b{layer}"]
         U_zr, U_c = 0.5 * U[: 2 * H], U[2 * H :]
-        A = WX + self.params[f"b{layer}"]
+        A = WX
+        A += b if WX.ndim == 2 else b[:, None]
         A[:, : 2 * H] *= 0.5
-        L = len(A)
-        Hs = np.zeros((L + 1, H))
-        ZR, RH, C = np.empty((L, 2 * H)), np.empty((L, H)), np.empty((L, H))
+        L, batch = len(A), A.shape[2:]
+        Hs = np.zeros((L + 1, H, *batch))
+        ZR = np.empty((L, 2 * H, *batch))
+        RH, C = np.empty((L, H, *batch)), np.empty((L, H, *batch))
         dot, mul, sub, tanh = np.dot, np.multiply, np.subtract, np.tanh
         rows = zip(Hs[:-1], Hs[1:], A[:, : 2 * H], A[:, 2 * H :],
                    ZR, ZR[:, :H], ZR[:, H:], RH, C)
@@ -137,10 +146,10 @@ class SequentialPhaseEstimator:
         return Hs, ZR, RH, C
 
     def _run(self, shots: np.ndarray, masks=None):
-        """Forward over the shot sequence, one layer at a time; returns
-        (logits, caches, h2_out); caches are the validated shots, layer 1's
-        input X1 and the two cells' _layer results."""
-        shots = self._checked_shots(shots)
+        """Forward over one checked shot sequence, one layer at a time;
+        returns (logits, caches, h2_out); caches are the shots, layer 1's
+        input X1 and the two cells' _layer results. masks, if given, are
+        layer 0's and layer 1's inverted-dropout masks (2, H)."""
         # Layer 0 reads shot s as column W0[:, s].
         cache0 = self._layer(0, self.params["W0"][:, shots].T)
         X1 = cache0[0][1:] if masks is None else cache0[0][1:] * masks[0]
@@ -149,10 +158,34 @@ class SequentialPhaseEstimator:
         logits = self.params["Wo"] @ h2_out + self.params["bo"]
         return logits, (shots, X1, cache0, cache1), h2_out
 
-    def _checked_shots(self, shots: np.ndarray) -> np.ndarray:
-        shots = np.asarray(shots, dtype=np.int64)
-        if shots.ndim != 1 or len(shots) == 0:
-            raise ConfigurationError("shots must be a nonempty 1-d integer array")
+    def _run_block(self, shots: np.ndarray, masks=None) -> np.ndarray:
+        """Logits (M, C) of a block of shot sequences (B, L). Layer 0 runs
+        once over all B sequences; layer 1 runs over C = B columns, or with
+        masks (B, P, 2, H) over C = B P columns, column b P + p being pass p
+        of sequence b."""
+        L, H = shots.shape[1], self.hidden
+        # (3H, L, B) gathered columns seen as (L, 3H, B)
+        Hs0 = self._layer(0, self.params["W0"][:, shots.T].transpose(1, 0, 2))[0]
+        X1 = Hs0[1:]
+        if masks is not None:
+            # (L, H, B, 1) * (H, B, P) -> (L, H, B P)
+            X1 = (X1[..., None] * masks[:, :, 0].transpose(2, 0, 1)).reshape(L, H, -1)
+        h2_out = self._layer(1, self.params["W1"] @ X1)[0][-1]
+        if masks is not None:
+            h2_out = h2_out * masks[:, :, 1].reshape(-1, H).T
+        return self.params["Wo"] @ h2_out + self.params["bo"][:, None]
+
+    def _checked_shots(self, shots: np.ndarray, ndims: tuple = (1,)) -> np.ndarray:
+        """shots as a nonempty int64 array of one of the allowed ndims, every
+        outcome in range; a ragged block raises like any other bad input."""
+        try:
+            shots = np.asarray(shots, dtype=np.int64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"shots are not an integer array: {exc}") from exc
+        if shots.ndim not in ndims or shots.size == 0:
+            raise ConfigurationError(
+                f"shots must be a nonempty integer array with ndim in {ndims}"
+            )
         if shots.min() < 0 or shots.max() >= self.input_dim:
             raise ConfigurationError("shot outcome out of range for input dimension")
         return shots
@@ -163,31 +196,54 @@ class SequentialPhaseEstimator:
                 f"phase index {x_index} out of range for {self.n_levels} phases"
             )
 
-    def _make_masks(self, rng: np.random.Generator | None):
-        """Inverted-dropout masks per layer, or None unless dropout is on and
-        an rng is given."""
+    def dropout_masks(
+        self, rng: np.random.Generator | None, passes: tuple = ()
+    ) -> np.ndarray | None:
+        """Inverted-dropout masks of shape passes + (2, H), layer 0's then
+        layer 1's for each pass in turn, or None unless dropout is on and an
+        rng is given. One draw for P passes takes the same numbers as P
+        draws for one pass each."""
         if self.dropout <= 0 or rng is None:
             return None
         keep = 1.0 - self.dropout
-        return [
-            (rng.random(self.hidden) < keep).astype(float) / keep for _ in range(2)
-        ]
+        return (rng.random((*passes, 2, self.hidden)) < keep) / keep
 
     def forward(
-        self, shots: np.ndarray, rng: np.random.Generator | None = None
+        self, shots: np.ndarray, masks: np.ndarray | None = None
     ) -> tuple[np.ndarray, tuple | None]:
-        """(posterior, run): the posterior over the M phases, stochastic only
-        if dropout is active, and the forward pass behind it, which
-        train_step and loss_grads take as `run` while the weights stay as
-        they are; run is None when dropout masks were drawn."""
-        masks = self._make_masks(rng)
-        run = self._run(shots, masks)
-        return _posterior(run[0]), run if masks is None else None
+        """(posterior, run) over the M phases.
+
+        For one shot sequence (L,) and no masks, run is the forward pass
+        behind the posterior, which train_step and loss_grads take as `run`
+        while the weights stay as they are. Otherwise shots is one sequence
+        or a block (B, L), masks is None or holds P dropout passes per
+        sequence, shape shots.shape[:-1] + (P, 2, H) as dropout_masks draws
+        them, the posterior has shape shots.shape[:-1] + ((P,) if masks is
+        not None else ()) + (M,), and run is None. Layer 0 runs once per
+        sequence, layer 1 once per pass, and each time step of a cell is
+        one matrix product over the whole block."""
+        shots = self._checked_shots(shots, ndims=(1, 2))
+        if masks is None and shots.ndim == 1:
+            run = self._run(shots)
+            return _posterior(run[0]), run
+        lead, n_seq = shots.shape[:-1], shots.size // shots.shape[-1]
+        if masks is not None:
+            masks = np.asarray(masks, dtype=float)
+            if (masks.ndim != shots.ndim + 2 or masks.shape[: len(lead)] != lead
+                    or masks.shape[-2:] != (2, self.hidden) or masks.size == 0):
+                raise ConfigurationError(
+                    f"masks must have shape {lead} + (passes, 2, {self.hidden}), "
+                    f"got {masks.shape}"
+                )
+            lead += (masks.shape[-3],)
+            masks = masks.reshape(n_seq, -1, 2, self.hidden)
+        logits = self._run_block(shots.reshape(n_seq, -1), masks)
+        return _posterior(logits).T.reshape(*lead, self.n_levels), None
 
     def nll(self, shots: np.ndarray, x_index: int) -> float:
         """Cross-entropy of the true label (no floor); target of train_step."""
         self._check_label(x_index)
-        logits, _, _ = self._run(shots)
+        logits, _, _ = self._run(self._checked_shots(shots))
         return float(-np.log(_softmax(logits)[x_index]))
 
     def loss_grads(
@@ -199,7 +255,7 @@ class SequentialPhaseEstimator:
         no dropout masks; without it the forward pass runs here."""
         self._check_label(x_index)
         if run is None:
-            run = self._run(shots, masks)
+            run = self._run(self._checked_shots(shots), masks)
         elif masks is not None or not np.array_equal(run[1][0], shots):
             raise ConfigurationError("run must be an unmasked pass on the same shots")
         logits, (shots, X1, cache0, cache1), h2_out = run
@@ -280,7 +336,7 @@ class SequentialPhaseEstimator:
         """One gradient step on -log p(x_index | shots) + L2; returns False if
         the step was skipped because of a non-finite gradient. `run`, from
         forward, saves loss_grads the forward pass."""
-        masks = self._make_masks(rng)
+        masks = self.dropout_masks(rng)
         _, grad = self.loss_grads(shots, x_index, masks, run=run)
         # lr (grad + l2 w), built in place in one buffer
         step = np.multiply(self.weights, l2, out=self._step)

@@ -191,8 +191,10 @@ class TestRunArtifacts:
             "mode = static-probe-estimator\neta_theta = 0\n",
             "ensemble = 2\n",
             "dropout = 0.2\ndropout_passes = 3\n",
+            # frozen estimators score their steps in blocks ahead of them
+            "mode = static-probe-estimator\ndropout = 0.2\n",
         ],
-        ids=["default", "frozen-probe", "ensemble", "dropout"],
+        ids=["default", "frozen-probe", "ensemble", "dropout", "frozen-dropout"],
     )
     def test_determinism_byte_identical(self, fast_cfg_file, tmp_path, extra):
         fast_cfg_file.write_text(FAST_CONFIG + extra)

@@ -300,8 +300,8 @@ class TestPosterior:
         shots = rng.integers(4, size=6)
         state = self.state_with(members, dropout_passes=3)
         draws = copy.deepcopy(state.rng)
-        posts = [m.forward(shots, draws)[0] for m in members for _ in range(3)]
-        mean = np.maximum(np.mean(posts, axis=0), EPS)
+        posts = [m.forward(shots, m.dropout_masks(draws, (3,)))[0] for m in members]
+        mean = np.maximum(np.concatenate(posts).mean(axis=0), EPS)
         assert state.posterior(shots)[0].tobytes() == (mean / mean.sum()).tobytes()
 
     def test_ensemble_entropy_jensen(self, rng):
@@ -418,6 +418,34 @@ class TestPretrainRun:
 
 
 class TestRunTrial:
+    @pytest.mark.parametrize("mode", ["static", "static-probe-estimator"])
+    @pytest.mark.parametrize(
+        "bayes", [dict(ensemble=2), dict(dropout=0.3, dropout_passes=3)],
+        ids=["ensemble", "dropout"],
+    )
+    def test_frozen_trial_matches_step_loop(self, mode, bayes, monkeypatch):
+        """A frozen trial scores its steps in blocks ahead of them; a fresh
+        state stepped by sense_step alone gives the same trace."""
+        # two full blocks and a partial one; at m = 3 seed 0's static
+        # threshold falls inside the range of the scores, so sets vary
+        cfg = fast_config(mode=mode, horizon=2 * engine.BLOCK + 7, m=3, **bayes)
+        steps = []
+        step = engine.sense_step
+        monkeypatch.setattr(engine, "sense_step", lambda *a: steps.append(1) or step(*a))
+        got = run_trial(cfg, 0)
+        assert len(steps) == cfg.horizon  # one sense_step per step
+        state = init_state(cfg, 0)
+        pretrain_run(state)
+        for x_index in engine.phase_sequence(cfg, state.rng):
+            step(state, int(x_index))
+        want = state.records
+        assert len(got) == len(want) == cfg.horizon
+        assert len({r.set_size for r in want}) > 1
+        for g, w in zip(got, want):
+            for key in ("x_index", "shots", "set_mask", "lam_before", "loss", "avg_loss"):
+                assert getattr(g, key) == getattr(w, key), (g.t, key)
+            np.testing.assert_allclose(g.scores, w.scores, rtol=1e-12, atol=0, err_msg=g.t)
+
     def test_horizon_one(self):
         cfg = fast_config(horizon=1)
         records = run_trial(cfg, 0, pretrain=False)

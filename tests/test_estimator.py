@@ -168,7 +168,7 @@ class TestBackprop:
 
     def test_masked_matches_finite_differences(self, rng):
         model = make_model(hidden=8, perturb=0.3, dropout=0.5)
-        masks = model._make_masks(rng)
+        masks = model.dropout_masks(rng)
         assert all(np.any(m == 0.0) for m in masks)
         shots = rng.integers(4, size=6)
         flat = fd_check(model, shots, 4, masks)
@@ -195,15 +195,13 @@ class TestReferenceGRU:
         model.set_weights(model.get_weights() + rng.normal(scale=0.3, size=model.weights.size))
         shots = rng.integers(2**n, size=12)
         shots[3] = shots[7]
-        masks = model._make_masks(np.random.default_rng(99))
+        masks = model.dropout_masks(np.random.default_rng(99))
         assert (masks is None) == (dropout == 0.0)
         logits, ref = reference_loss_grads(model, shots, 6, masks)
-        # forward draws the same masks from an rng in the same state
+        # forward's one-pass form with the same masks
         post = np.maximum(_softmax(logits), EPS)
-        np.testing.assert_allclose(
-            model.forward(shots, rng=np.random.default_rng(99))[0], post / post.sum(),
-            rtol=1e-12,
-        )
+        got = model.forward(shots)[0] if masks is None else model.forward(shots, masks[None])[0][0]
+        np.testing.assert_allclose(got, post / post.sum(), rtol=1e-12)
         _, flat = model.loss_grads(shots, 6, masks)
         grads = model._views(flat)
         for k, want in ref.items():
@@ -212,6 +210,24 @@ class TestReferenceGRU:
             np.testing.assert_allclose(
                 grads[k], want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=k
             )
+
+
+class TestDropoutMasks:
+    def test_one_draw_equals_layer_by_layer_draws(self):
+        """P passes drawn at once are the per-layer draws of P single passes,
+        layer 0 then layer 1 in each, as train_step has always drawn them."""
+        model = make_model(hidden=8, dropout=0.4)
+        at_once = model.dropout_masks(np.random.default_rng(5), (3,))
+        assert at_once.shape == (3, 2, 8)
+        rng = np.random.default_rng(5)
+        assert at_once.tobytes() == np.stack([model.dropout_masks(rng) for _ in range(3)]).tobytes()
+        rng, keep = np.random.default_rng(5), 0.6
+        per_layer = [(rng.random(8) < keep).astype(float) / keep for _ in range(6)]
+        assert at_once.reshape(6, 8).tobytes() == np.stack(per_layer).tobytes()
+
+    def test_none_without_dropout_or_rng(self):
+        assert make_model().dropout_masks(np.random.default_rng(0), (4,)) is None
+        assert make_model(dropout=0.4).dropout_masks(None) is None
 
 
 class TestTrainStep:
@@ -297,7 +313,8 @@ class TestTrainStep:
     def test_reused_forward_pass_checked(self, rng):
         model = make_model(perturb=0.2, dropout=0.4)
         shots = rng.integers(4, size=8)
-        assert model.forward(shots, rng=np.random.default_rng(0))[1] is None  # masked
+        masks = model.dropout_masks(np.random.default_rng(0), (1,))
+        assert model.forward(shots, masks)[1] is None  # masked
         _, run = model.forward(shots)
         with pytest.raises(ConfigurationError):
             model.loss_grads((shots + 1) % 4, 3, run=run)  # other shots

@@ -1,9 +1,10 @@
 """Golden trace: short seeded trials must reproduce the recorded per-step trace.
 
 tests/golden/trials.json holds one short trial per run mode, plus a dynamic
-trial with MC dropout, each with pretraining on at a reduced budget. A change
-that keeps RNG use and float order reproduces it exactly; the check allows a
-relative 1e-9 on floats and requires ints and bools to match exactly.
+and a static-probe-estimator trial with MC dropout, each with pretraining on at
+a reduced budget. A change that keeps RNG use and float order reproduces it
+exactly; the check allows a relative 1e-9 on floats and requires ints and bools
+to match exactly.
 
 Regenerate the fixture (only when a change is meant to alter behaviour):
 
@@ -25,6 +26,10 @@ SMALL = dict(
 )
 CASES = {mode: dict(SMALL, mode=mode) for mode in MODES}
 CASES["dynamic-dropout"] = dict(SMALL, dropout=0.4, dropout_passes=3)
+# frozen estimators with dropout: block scoring ahead of the steps
+CASES["static-probe-estimator-dropout"] = dict(
+    SMALL, mode="static-probe-estimator", dropout=0.4, dropout_passes=3
+)
 SEED = 17
 TRACED = ("x_index", "shots", "scores", "lam_before", "set_mask", "loss")
 

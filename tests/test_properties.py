@@ -1,15 +1,20 @@
-"""Property tests: the threshold update's telescoping identity and the
+"""Property tests: the threshold update's telescoping identity, the
 all-or-ConfigurationError contract of RunConfig validation, under which every
 float field of a config that constructs is a finite real that is not a bool and
-every int field holds an int."""
+every int field holds an int, and the estimator's batched forward pass, which
+scores a block as its sequences alone would be scored or raises
+ConfigurationError."""
 import dataclasses
 import math
 import numbers
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from vqsense.conformal import SCHEDULES, ThresholdState, update_threshold
 from vqsense.engine import RunConfig
+from vqsense.estimator import SequentialPhaseEstimator, _posterior
 from vqsense.probe import ConfigurationError
 
 
@@ -73,3 +78,66 @@ def test_run_config_constructs_or_raises_configuration_error(fields):
             assert math.isfinite(value), name
     for name in INT_FIELDS:
         assert type(getattr(cfg, name)) is int, name
+
+
+def perturbed_model(seed: int, dropout: float = 0.0) -> SequentialPhaseEstimator:
+    """A 2-qubit (4-outcome), 6-phase estimator with random non-zero weights."""
+    model = SequentialPhaseEstimator(4, 6, hidden_size=16, dropout=dropout, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    model.set_weights(model.weights + rng.normal(scale=0.4, size=model.weights.size))
+    return model
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_seq=st.integers(1, 5),
+    length=st.integers(1, 6),
+    passes=st.integers(0, 3),  # 0: no masks
+)
+def test_batched_forward_matches_each_sequence(seed, n_seq, length, passes):
+    """A block's -log posteriors are each sequence's own, to rtol 1e-12: the
+    unmasked per-sequence forward, or the masked single-sequence pass that
+    train_step differentiates, pass by pass."""
+    model = perturbed_model(seed, dropout=0.3)
+    rng = np.random.default_rng(seed)
+    shots = rng.integers(4, size=(n_seq, length))
+    if passes:
+        masks = model.dropout_masks(rng, (n_seq, passes))
+        got, run = model.forward(shots, masks)
+        want = [[_posterior(model._run(s, m)[0]) for m in ms] for s, ms in zip(shots, masks)]
+    else:
+        got, run = model.forward(shots)
+        want = [model.forward(s)[0] for s in shots]
+    assert run is None
+    np.testing.assert_allclose(-np.log(got), -np.log(want), rtol=1e-12, atol=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(-2, 5), max_size=4), max_size=4))
+def test_batched_forward_scores_or_raises_configuration_error(rows):
+    """A block is scored only if it is nonempty, not ragged and in range."""
+    model = perturbed_model(0)
+    valid = (
+        len(rows) > 0
+        and len({len(r) for r in rows}) == 1
+        and len(rows[0]) > 0
+        and all(0 <= s < 4 for r in rows for s in r)
+    )
+    if not valid:
+        with pytest.raises(ConfigurationError):
+            model.forward(rows)
+        return
+    post, run = model.forward(rows)
+    assert post.shape == (len(rows), 6) and run is None
+    np.testing.assert_allclose(post.sum(-1), 1.0, rtol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.lists(st.sampled_from([0, 1, 2, 3, 4, 16]), max_size=5))
+def test_forward_rejects_masks_of_the_wrong_shape(shape):
+    """Masks for a (3, L) block must be (3, P, 2, H) with P >= 1."""
+    assume(not (len(shape) == 4 and shape[0] == 3 and shape[1] >= 1 and shape[2:] == [2, 16]))
+    model = perturbed_model(0, dropout=0.3)
+    with pytest.raises(ConfigurationError):
+        model.forward(np.zeros((3, 4), dtype=int), np.ones(shape))
