@@ -13,7 +13,7 @@ goes first alternates (the change first in odd pairs), and the workloads are
 interleaved within a pair. Then --traced pairs of `--trace 1` runs give the
 per-layer figures of each side, including the share of distribution lookups
 served without a simulation (1 - probe.simulate.calls / probe.sample.calls:
-every sampled step looks its distribution up once). --dropout-step-pairs
+every sampled step looks its distribution up once). DROPOUT_STEP_PAIRS
 pairs then time a `dropout = 0.4` sensing step in-process on each side (the
 median step of one pretrained trial), alternating which side goes first. Last,
 `vqsense run` on each side with --identity-seeds of every workload and a few
@@ -55,7 +55,8 @@ EXTRA_CONFIGS = {
 # while its shots, sets, thresholds and losses all match.
 SCORE_RTOL = 1e-12
 # One pretrained `dropout = 0.4` trial (10 passes), timed step by step in
-# process; prints the median step in ms.
+# process; prints the median step in ms. DROPOUT_STEP_PAIRS such pairs run.
+DROPOUT_STEP_PAIRS = 10
 DROPOUT_STEP = """
 import statistics, sys, time
 from vqsense.engine import RunConfig, init_state, phase_sequence, pretrain_run, sense_step
@@ -198,7 +199,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--traced", type=int, default=3, help="traced pairs per workload")
     parser.add_argument("--seed-base", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=50.0)
-    parser.add_argument("--dropout-step-pairs", type=int, default=10)
     parser.add_argument("--identity-seeds", default="1-20", help="e.g. 1-20; empty to skip")
     parser.add_argument("--claim", default="serve-n4:step_ms_mean")
     parser.add_argument("--work-dir", type=Path, default=ROOT / ".bench_pairs")
@@ -255,24 +255,22 @@ def main(argv: list[str] | None = None) -> int:
     claim["met"] = claim["change_wins"] >= 0.9 * args.pairs and m["median_gap_beats_parent_iqr"]
 
     dropout_ms = {"parent": [], "change": []}
-    for i in range(args.dropout_step_pairs):
+    for i in range(DROPOUT_STEP_PAIRS):
         seed = args.seed_base + 201 + i
         for side in ("change", "parent") if i % 2 == 0 else ("parent", "change"):
             dropout_ms[side].append(dropout_step_ms(sides[side], seed))
         print(f"dropout step seed={seed}: parent {dropout_ms['parent'][-1]:.3f} ms, "
               f"change {dropout_ms['change'][-1]:.3f} ms", file=sys.stderr, flush=True)
-    dropout_step = {}
-    if args.dropout_step_pairs:
-        pairs = list(zip(dropout_ms["parent"], dropout_ms["change"]))
-        dropout_step = {
-            "config": "RunConfig(dropout=0.4, trials=1), pretrained, 200 dynamic steps; "
-                      "the value is the median sense_step in ms, timed in process",
-            "seeds": [args.seed_base + 201 + i for i in range(args.dropout_step_pairs)],
-            "parent": quartiles(dropout_ms["parent"]), "change": quartiles(dropout_ms["change"]),
-            "change_wins": sum(b < a for a, b in pairs),
-            "speedup_per_pair": quartiles([a / b for a, b in pairs]),
-            "parent_ms": dropout_ms["parent"], "change_ms": dropout_ms["change"],
-        }
+    pairs = list(zip(dropout_ms["parent"], dropout_ms["change"]))
+    dropout_step = {
+        "config": "RunConfig(dropout=0.4, trials=1), pretrained, 200 dynamic steps; "
+                  "the value is the median sense_step in ms, timed in process",
+        "seeds": [args.seed_base + 201 + i for i in range(DROPOUT_STEP_PAIRS)],
+        "parent": quartiles(dropout_ms["parent"]), "change": quartiles(dropout_ms["change"]),
+        "change_wins": sum(b < a for a, b in pairs),
+        "speedup_per_pair": quartiles([a / b for a, b in pairs]),
+        "parent_ms": dropout_ms["parent"], "change_ms": dropout_ms["change"],
+    }
 
     identity = {}
     if args.identity_seeds:

@@ -24,8 +24,9 @@ MODES = ("dynamic", "static", "static-threshold", "static-probe-estimator")
 LOSS_KINDS = ("coverage", "distance")
 PHASE_PROCESSES = ("iid", "drift")
 TRIAL_SEED_STRIDE = 9973
-# Shot sequences per forward call when a frozen trial scores ahead: at H = 64
-# a block of 16 ran faster than one of 32 and needs half the memory.
+# Shot sequences per forward call when a frozen trial scores ahead. 16 is for
+# peak-memory headroom, not speed: in paired serve-n4 runs blocks of 32 took
+# 0.9 MB more peak RSS, and their trial time was not measurably different.
 BLOCK = 16
 # RunConfig field annotation -> (accepted types, description); bools never pass
 _NUMERIC_KINDS = {
