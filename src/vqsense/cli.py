@@ -68,8 +68,12 @@ def parse_value(name: str, text: str):
 def parse_config_file(path: str | Path) -> dict:
     """Flat key = value config; '#' starts a comment. Errors carry line numbers."""
     path = Path(path)
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigFileError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -91,10 +95,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the config file, then every flag given (dest = field name)."""
     values: dict = {}
     if getattr(args, "config", None):
-        cfg_path = Path(args.config)
-        if not cfg_path.exists():
-            raise ConfigFileError(f"config file not found: {cfg_path}")
-        values.update(parse_config_file(cfg_path))
+        values.update(parse_config_file(args.config))
     for name in _FIELDS:
         text = getattr(args, name, None)
         if text is not None:
@@ -138,7 +139,7 @@ def write_records(out_dir: Path, name: str, records: list[EpisodeRecord]) -> Pat
     path = out_dir / name
     with _atomic_open(path) as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(dataclasses.asdict(rec), sort_keys=True) + "\n")
     return path
 
 
@@ -172,7 +173,7 @@ def _manifest_base(cfg: RunConfig, command: str, extra: dict | None = None) -> d
     payload = {
         "command": command,
         "version": __version__,
-        "config": cfg.to_dict(),
+        "config": dataclasses.asdict(cfg),
         "seed_rule": f"trial i uses seed + i*{TRIAL_SEED_STRIDE} (base seed {cfg.seed})",
         "decisions": {
             "measurement_basis": cfg.basis,

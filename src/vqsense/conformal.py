@@ -86,12 +86,10 @@ def update_threshold(state: ThresholdState, loss: float) -> ThresholdState:
     return replace(state, lam=state.lam + eta_t * (loss - state.alpha), t=state.t + 1)
 
 
-def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-z)), written into `out` when given. The ±500 clamp keeps
-    exp finite; minimum/maximum give np.clip's values at less call cost."""
-    z = np.minimum(np.maximum(z, -500.0), 500.0, out=out)
-    z = np.exp(np.negative(z, out=out), out=out)
-    return np.divide(1.0, np.add(z, 1.0, out=out), out=out)
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)). The ±500 clamp keeps exp finite; minimum/maximum
+    give np.clip's values at less call cost."""
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
 
 
 def soft_set_size(scores: np.ndarray, lam: float, tau: float) -> float:

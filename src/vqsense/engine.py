@@ -12,7 +12,8 @@ running mean of G as baseline.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -115,8 +116,13 @@ class RunConfig:
     def lambda_start(self) -> float:
         return float(np.log(self.m)) if self.lambda_init is None else self.lambda_init
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    @property
+    def updates_threshold(self) -> bool:
+        return self.mode in ("dynamic", "static-probe-estimator")
+
+    @property
+    def updates_params(self) -> bool:
+        return self.mode in ("dynamic", "static-threshold")
 
 
 @dataclass
@@ -134,9 +140,6 @@ class EpisodeRecord:
     soft_size: float
     avg_loss: float
     skipped_grad: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -160,14 +163,6 @@ class RunState:
     _dists: dict[int, np.ndarray] = field(default_factory=dict)
     _dist_key: bytes = b""
 
-    @property
-    def updates_threshold(self) -> bool:
-        return self.cfg.mode in ("dynamic", "static-probe-estimator")
-
-    @property
-    def updates_params(self) -> bool:
-        return self.cfg.mode in ("dynamic", "static-threshold")
-
     def distribution(self, x_index: int) -> np.ndarray:
         """p(s | x) at phase index x_index under the current angles, read-only.
 
@@ -187,23 +182,23 @@ class RunState:
             self._dists[x_index] = dist
         return dist
 
-    @property
-    def passes(self) -> tuple:
-        """Dropout passes per member as a shape: (dropout_passes,) or ()."""
-        return (self.cfg.dropout_passes,) if self.cfg.dropout > 0 else ()
+    def draw(self, x_index: int) -> tuple[np.ndarray, list[np.ndarray | None]]:
+        """One step's inputs from self.rng: shots from p(s | x) at x_index,
+        then each member's dropout masks in turn, (P, 2, H) or None. This is
+        the one place that fixes the order of a step's draws."""
+        shots = probe.sample_shots(self.distribution(x_index), self.cfg.shots, self.rng)
+        passes = (self.cfg.dropout_passes,)
+        return shots, [model.dropout_masks(self.rng, passes) for model in self.models]
 
     def posterior(
-        self, shots: np.ndarray, masks: list | None = None
+        self, shots: np.ndarray, masks: list[np.ndarray | None]
     ) -> tuple[np.ndarray, list[tuple | None]]:
         """(posterior, runs) of one shot sequence (L,), or of each row of a
         block (B, L): the mean over members and their dropout passes, floored
         at EPS and renormalized (a lone pass is returned as is), and each
         member's forward pass for its train_step, None under dropout or for a
-        block. masks[k] holds member k's dropout masks, shots.shape[:-1] +
-        (P, 2, H); by default they are drawn here, member after member."""
-        if masks is None:
-            masks = [model.dropout_masks(self.rng, shots.shape[:-1] + self.passes)
-                     for model in self.models]
+        block. masks[k] is None or holds member k's dropout masks,
+        shots.shape[:-1] + (P, 2, H), as draw gives them."""
         posts, runs = [], []
         for model, member_masks in zip(self.models, masks):
             post, run = model.forward(shots, member_masks)
@@ -225,10 +220,7 @@ def init_state(cfg: RunConfig, seed: int) -> RunState:
     the angles; the estimators seed their own generators."""
     rng = np.random.default_rng(seed)
     theta = probe.ProbeParams.random(cfg.layers, rng)
-    if cfg.mode in ("static", "static-threshold"):
-        lam = float(rng.uniform(0.0, 2.0))
-    else:
-        lam = cfg.lambda_start
+    lam = cfg.lambda_start if cfg.updates_threshold else float(rng.uniform(0.0, 2.0))
     models = [
         SequentialPhaseEstimator(
             input_dim=2**cfg.n,
@@ -286,24 +278,21 @@ def pretrain_run(state: RunState) -> list[tuple[np.ndarray, int]]:
 
     for step in range(cfg.probe_pretrain_steps):
         _, x_index = dataset[step % len(dataset)]
-        dist = state.distribution(x_index)
-        shots = probe.sample_shots(dist, cfg.shots, state.rng)
-        scores = -np.log(state.posterior(shots)[0])
+        shots, masks = state.draw(x_index)
+        scores = -np.log(state.posterior(shots, masks)[0])
         g = conformal.soft_set_size(scores, cfg.lambda_start, cfg.tau)
-        probe_grad_step(state, x_index, shots, dist, g)
+        probe_grad_step(state, x_index, shots, g)
     state.g_sum, state.g_count = 0.0, 0
     return dataset
 
 
-def probe_grad_step(
-    state: RunState, x_index: int, shots: np.ndarray, dist: np.ndarray, g_value: float
-) -> bool:
+def probe_grad_step(state: RunState, x_index: int, shots: np.ndarray, g_value: float) -> bool:
     """theta <- theta - eta_theta * (G - b) * sum_l grad log p(s_l | x).
 
     The baseline b is the mean of the earlier G in state.g_sum / g_count (G
     itself on the first call), and G is then added to them. Shots s with
-    dist[s] <= probe.PROB_FLOOR are skipped; writes state.theta and returns
-    True when any shot was skipped.
+    p(s | x) <= probe.PROB_FLOOR under the current angles are skipped; writes
+    state.theta and returns True when any shot was skipped.
     """
     cfg = state.cfg
     baseline = state.g_sum / state.g_count if state.g_count else g_value
@@ -311,6 +300,7 @@ def probe_grad_step(
     state.g_count += 1
     if cfg.eta_theta == 0.0:
         return False
+    dist = state.distribution(x_index)
     usable = [s for s in shots if dist[s] > probe.PROB_FLOOR]
     if not usable:
         return True
@@ -332,15 +322,14 @@ def sense_step(
 
     scored, if given, is this step's (shots, posterior), drawn and scored
     ahead under the current probe and weights; otherwise the step draws its
-    shots from state.rng and scores them itself."""
+    inputs (state.draw) and scores them itself."""
     cfg = state.cfg
     x_value = float(state.grid[x_index])
     lam = state.thr.lam
 
-    dist = state.distribution(x_index)
     if scored is None:
-        shots = probe.sample_shots(dist, cfg.shots, state.rng)
-        post, runs = state.posterior(shots)
+        shots, masks = state.draw(x_index)
+        post, runs = state.posterior(shots, masks)
     else:
         (shots, post), runs = scored, [None] * len(state.models)
     scores = -np.log(post)
@@ -352,14 +341,14 @@ def sense_step(
     g = conformal.soft_set_size(scores, lam, cfg.tau)
 
     skipped = False
-    if state.updates_threshold:
+    if cfg.updates_threshold:
         state.thr = conformal.update_threshold(state.thr, loss)
-    if state.updates_params:
+    if cfg.updates_params:
         lr = cfg.lr * cfg.decay ** (state.steps // cfg.decay_every)
         for model, run in zip(state.models, runs):
             ok = model.train_step(shots, x_index, lr, cfg.l2, rng=state.rng, run=run)
             skipped = skipped or not ok
-        skipped = probe_grad_step(state, x_index, shots, dist, g) or skipped
+        skipped = probe_grad_step(state, x_index, shots, g) or skipped
 
     state.loss_sum += loss
     state.steps += 1
@@ -391,38 +380,29 @@ def phase_sequence(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
 
 def frozen_posteriors(state: RunState, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every step's shots (T, L) and posterior (T, M) for a trial that
-    updates neither the probe nor the estimators. Each step's shots, then
-    each member's dropout masks, are drawn from state.rng in sense_step's
-    order; the sequences are scored BLOCK at a time."""
-    cfg, rng = state.cfg, state.rng
-    shots = np.empty((len(xs), cfg.shots), dtype=np.int64)
-    posts = np.empty((len(xs), cfg.m))
+    updates neither the probe nor the estimators: each step's inputs come
+    from state.draw in step order, and are scored BLOCK steps at a time."""
+    shots = np.empty((len(xs), state.cfg.shots), dtype=np.int64)
+    posts = np.empty((len(xs), state.cfg.m))
     for start in range(0, len(xs), BLOCK):
         block = slice(start, min(start + BLOCK, len(xs)))
-        step_masks = []
-        for t in range(block.start, block.stop):
-            shots[t] = probe.sample_shots(state.distribution(int(xs[t])), cfg.shots, rng)
-            step_masks.append([m.dropout_masks(rng, state.passes) for m in state.models])
-        masks = [np.stack(m) for m in zip(*step_masks)] if state.passes else None
+        shots[block], step_masks = zip(*(state.draw(int(x)) for x in xs[block]))
+        masks = [None if m[0] is None else np.stack(m) for m in zip(*step_masks)]
         posts[block] = state.posterior(shots[block], masks)[0]
     return shots, posts
 
 
 def run_trial(cfg: RunConfig, seed: int, pretrain: bool = True) -> list[EpisodeRecord]:
     """One full trial: init, pretrain, then `horizon` sensing steps. When the
-    probe and estimators stay fixed, the steps' posteriors are scored in
-    blocks ahead of the steps (frozen_posteriors), with the same draws."""
+    probe and estimators stay fixed, every step's posterior is scored in
+    blocks before the first step (frozen_posteriors), with the same draws."""
     state = init_state(cfg, seed)
     if pretrain:
         pretrain_run(state)
     xs = phase_sequence(cfg, state.rng)
-    if state.updates_params:
-        for x_index in xs:
-            sense_step(state, int(x_index))
-    else:
-        shots, posts = frozen_posteriors(state, xs)
-        for x_index, scored in zip(xs, zip(shots, posts)):
-            sense_step(state, int(x_index), scored)
+    ahead = repeat(None) if cfg.updates_params else zip(*frozen_posteriors(state, xs))
+    for x_index, scored in zip(xs, ahead):
+        sense_step(state, int(x_index), scored)
     return state.records
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -98,6 +99,22 @@ class TestExitCodes:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
+    def test_directory_config_exits_2_no_artifacts(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(tmp_path), "--out-dir", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "error: cannot read config file" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2_no_artifacts(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes("alpha = 0.25 # \u00e9t\u00e9\n".encode("latin-1"))
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(bad), "--out-dir", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "error: cannot read config file" in capsys.readouterr().err
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("alpha = banana\n")
@@ -163,20 +180,16 @@ class TestRunArtifacts:
         assert {p.name for p in out.iterdir()} == {"manifest.json", "run.log"}
 
     def test_failed_write_leaves_final_name_untouched(self, tmp_path):
+        @dataclasses.dataclass
         class Record:
-            def __init__(self, t):
-                self.t = t
-
-            def to_dict(self):
-                if self.t < 0:
-                    raise RuntimeError("write failed")
-                return {"t": self.t}
+            t: object
 
         path = cli.write_records(tmp_path, "trial_0.jsonl", [Record(1)])
         before = path.read_bytes()
-        # the second record fails after the first line is written
-        with pytest.raises(RuntimeError):
-            cli.write_records(tmp_path, "trial_0.jsonl", [Record(2), Record(-1)])
+        # the second record fails after the first line is written: JSON has
+        # no encoding for a bare object
+        with pytest.raises(TypeError):
+            cli.write_records(tmp_path, "trial_0.jsonl", [Record(2), Record(object())])
         assert path.read_bytes() == before
         # the curves lack a column, so the CSV fails after its header row
         with pytest.raises(KeyError):

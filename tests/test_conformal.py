@@ -165,9 +165,6 @@ class TestSigmoid:
         for z in inputs:
             want = clip_form(z)
             assert conformal.sigmoid(z).tobytes() == want.tobytes()
-            # in place, as the estimator calls it
-            assert conformal.sigmoid(z, out=z) is z
-            assert z.tobytes() == want.tobytes()
         for z in (1e3, -1e3, np.inf, -np.inf, 0.3):
             assert np.float64(conformal.sigmoid(z)).tobytes() == clip_form(z).tobytes()
 

@@ -248,6 +248,23 @@ class TestDistributionCache:
         assert not np.array_equal(state.theta.angles, start)  # the probe moved
 
 
+class TestDraw:
+    def test_shots_then_each_members_masks(self):
+        cfg = fast_config(ensemble=2, dropout=0.3, dropout_passes=3)
+        state = init_state(cfg, 0)
+        draws = copy.deepcopy(state.rng)
+        shots, masks = state.draw(2)
+        want_shots = probe.sample_shots(state.distribution(2), cfg.shots, draws)
+        want_masks = [m.dropout_masks(draws, (3,)) for m in state.models]
+        assert shots.tobytes() == want_shots.tobytes()
+        assert len(masks) == len(want_masks) == 2
+        for got, want in zip(masks, want_masks):
+            assert got.shape == (3, 2, cfg.hidden_size)
+            assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(masks[0], masks[1])
+        assert state.rng.bit_generator.state == draws.bit_generator.state
+
+
 class TestPosterior:
     """RunState.posterior: the mean over ensemble members and dropout passes."""
 
@@ -271,11 +288,13 @@ class TestPosterior:
 
     def test_identical_members_equal_single(self, rng):
         shots = rng.integers(4, size=6)
-        single, runs = self.state_with([self.member()]).posterior(shots)
+        single, runs = self.state_with([self.member()]).posterior(shots, [None])
         # a lone pass is the member's own posterior, not renormalized again
         assert single.tobytes() == self.member().forward(shots)[0].tobytes()
         assert len(runs) == 1 and runs[0] is not None
-        mean, runs = self.state_with([self.member() for _ in range(5)]).posterior(shots)
+        mean, runs = self.state_with([self.member() for _ in range(5)]).posterior(
+            shots, [None] * 5
+        )
         np.testing.assert_allclose(mean, single, atol=1e-12)
         assert len(runs) == 5 and all(run is not None for run in runs)
 
@@ -283,32 +302,35 @@ class TestPosterior:
         model = self.member()
         shots = rng.integers(4, size=6)
         state = self.state_with([model], dropout_passes=7)
-        before = state.rng.bit_generator.state
-        post, _ = state.posterior(shots)
+        draws = copy.deepcopy(state.rng)
+        _, masks = state.draw(1)
+        probe.sample_shots(state.distribution(1), state.cfg.shots, draws)
+        assert state.rng.bit_generator.state == draws.bit_generator.state  # no masks drawn
+        assert masks == [None]
+        post, _ = state.posterior(shots, masks)
         assert post.tobytes() == model.forward(shots)[0].tobytes()
-        assert state.rng.bit_generator.state == before  # no masks drawn
 
     def test_dropout_passes_average_is_valid(self, rng):
         shots = rng.integers(4, size=6)
         state = self.state_with([self.member(dropout=0.4)], dropout_passes=20)
-        post, runs = state.posterior(shots)
+        post, runs = state.posterior(shots, state.draw(0)[1])
         assert abs(post.sum() - 1.0) < 1e-8 and np.all(post >= EPS)
         assert runs == [None]  # train_step draws its own masks
 
-    def test_masks_drawn_member_then_pass(self, rng):
+    def test_mean_over_members_and_passes(self, rng):
         members = [self.member(seed=s, dropout=0.3) for s in range(2)]
         shots = rng.integers(4, size=6)
         state = self.state_with(members, dropout_passes=3)
-        draws = copy.deepcopy(state.rng)
-        posts = [m.forward(shots, m.dropout_masks(draws, (3,)))[0] for m in members]
+        masks = [m.dropout_masks(rng, (3,)) for m in members]
+        posts = [m.forward(shots, mk)[0] for m, mk in zip(members, masks)]
         mean = np.maximum(np.concatenate(posts).mean(axis=0), EPS)
-        assert state.posterior(shots)[0].tobytes() == (mean / mean.sum()).tobytes()
+        assert state.posterior(shots, masks)[0].tobytes() == (mean / mean.sum()).tobytes()
 
     def test_ensemble_entropy_jensen(self, rng):
         # averaged posterior entropy >= min member entropy
         members = [self.member(seed=s, perturb=0.5) for s in range(5)]
         shots = rng.integers(4, size=10)
-        mixed = self.entropy(self.state_with(members).posterior(shots)[0])
+        mixed = self.entropy(self.state_with(members).posterior(shots, [None] * 5)[0])
         assert mixed >= min(self.entropy(m.forward(shots)[0]) for m in members) - 1e-9
 
     def test_ensemble_step_reuses_each_members_pass(self, monkeypatch):
@@ -338,7 +360,7 @@ class TestProbeGradStep:
     def test_zero_rate_no_change(self, rng):
         state = grad_state(probe.ProbeParams.random(2, rng), eta_theta=0.0)
         before = state.theta.flat()
-        assert not probe_grad_step(state, 1, np.array([0, 1]), state.distribution(1), 2.0)
+        assert not probe_grad_step(state, 1, np.array([0, 1]), 2.0)
         np.testing.assert_array_equal(state.theta.flat(), before)
         assert (state.g_sum, state.g_count) == (3.0, 2)  # G still joins the baseline
 
@@ -346,13 +368,13 @@ class TestProbeGradStep:
         # baseline 6 / 2 equals G = 3
         state = grad_state(probe.ProbeParams.random(2, rng), g_sum=6.0, g_count=2)
         before = state.theta.flat()
-        probe_grad_step(state, 1, np.array([0, 1]), state.distribution(1), 3.0)
+        probe_grad_step(state, 1, np.array([0, 1]), 3.0)
         np.testing.assert_allclose(state.theta.flat(), before, atol=1e-15)
 
     def test_all_shots_degenerate_flags(self):
         state = grad_state(probe.ProbeParams(np.zeros((2, 4))), basis="computational")
         # outcome 3 has probability 0 under the all-zero-angle probe
-        assert probe_grad_step(state, 2, np.array([3, 3]), state.distribution(2), 2.0)
+        assert probe_grad_step(state, 2, np.array([3, 3]), 2.0)
         np.testing.assert_array_equal(state.theta.flat(), np.zeros(8))
 
     def test_zero_probability_shot_flagged_and_ignored(self):
@@ -362,8 +384,8 @@ class TestProbeGradStep:
         alone, mixed = grad_state(theta), grad_state(theta)
         dist = alone.distribution(0)  # grid phase 0
         assert dist[1] <= probe.PROB_FLOOR < dist[0]
-        assert not probe_grad_step(alone, 0, np.array([0]), dist, 2.0)
-        assert probe_grad_step(mixed, 0, np.array([0, 1]), dist, 2.0)
+        assert not probe_grad_step(alone, 0, np.array([0]), 2.0)
+        assert probe_grad_step(mixed, 0, np.array([0, 1]), 2.0)
         assert not np.array_equal(alone.theta.flat(), theta.flat())
         np.testing.assert_array_equal(mixed.theta.flat(), alone.theta.flat())
 
@@ -372,7 +394,7 @@ class TestProbeGradStep:
         state = grad_state(theta, n=3, eta_theta=0.5)
         dist = state.distribution(1)
         shots = np.argsort(dist)[::-1][[0, 0, 1]]  # the likeliest outcome twice
-        assert not probe_grad_step(state, 1, shots, dist, 2.5)
+        assert not probe_grad_step(state, 1, shots, 2.5)
         table = probe.log_prob_grad_table(theta, state.grid[1], state.basis, 3)
         expected = theta.flat() - 0.5 * 1.5 * table[shots].sum(axis=0)
         out = state.theta.flat()
@@ -446,6 +468,31 @@ class TestRunTrial:
                 assert getattr(g, key) == getattr(w, key), (g.t, key)
             np.testing.assert_allclose(g.scores, w.scores, rtol=1e-12, atol=0, err_msg=g.t)
 
+    @pytest.mark.parametrize("mode", engine.MODES)
+    def test_draws_come_before_steps_only_when_frozen(self, mode, monkeypatch):
+        """Each step draws once, in step order; a frozen trial makes every
+        draw before its first sense_step, any other trial inside the step."""
+        cfg = fast_config(mode=mode, horizon=engine.BLOCK + 3, dropout=0.3, dropout_passes=2)
+        events = []
+        draw, step = engine.RunState.draw, engine.sense_step
+
+        def logged_draw(state, x_index):
+            events.append(("draw", x_index))
+            return draw(state, x_index)
+
+        def logged_step(state, x_index, *args):
+            events.append(("step", x_index))
+            return step(state, x_index, *args)
+
+        monkeypatch.setattr(engine.RunState, "draw", logged_draw)
+        monkeypatch.setattr(engine, "sense_step", logged_step)
+        xs = [r.x_index for r in run_trial(cfg, 3, pretrain=False)]
+        if cfg.updates_params:
+            want = [(kind, x) for x in xs for kind in ("step", "draw")]
+        else:
+            want = [("draw", x) for x in xs] + [("step", x) for x in xs]
+        assert events == want
+
     def test_horizon_one(self):
         cfg = fast_config(horizon=1)
         records = run_trial(cfg, 0, pretrain=False)
@@ -455,7 +502,7 @@ class TestRunTrial:
         cfg = fast_config()
         a = run_trial(cfg, 7)
         b = run_trial(cfg, 7)
-        assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+        assert [dataclasses.asdict(r) for r in a] == [dataclasses.asdict(r) for r in b]
 
     def test_telescoping_identity_on_trajectory(self):
         cfg = fast_config(horizon=40, mode="dynamic")

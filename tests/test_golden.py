@@ -10,6 +10,7 @@ Regenerate the fixture (only when a change is meant to alter behaviour):
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -36,7 +37,7 @@ TRACED = ("x_index", "shots", "scores", "lam_before", "set_mask", "loss")
 
 def trace(overrides: dict, seed: int) -> list[dict]:
     records = run_trial(RunConfig(**overrides), seed)
-    return [{k: r.to_dict()[k] for k in TRACED} for r in records]
+    return [{k: dataclasses.asdict(r)[k] for k in TRACED} for r in records]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
