@@ -2,13 +2,14 @@
 
 Configs are flat key = value text files mirroring RunConfig field names
 ("T" is accepted as an alias for horizon); command-line flags override file
-values, which override defaults. Each flag's dest is its RunConfig field, and
-file and flag values go through the same per-field parser. Every run writes a
-manifest.json first, then per-trial JSONL records and an aggregate CSV, and
-finally rewrites the manifest with artifact checksums. Each file goes through
-a temp file and os.replace, so none is left half-written. Wall-clock timestamps
-go to a run.log sidecar so that every checksummed artifact is
-byte-reproducible from the config and seed alone.
+values, which override defaults. Every field a subcommand does not fix has a
+--field-name flag whose dest is the field, and file and flag values go through
+the same per-field parser. Every run writes a manifest.json first, then
+per-trial JSONL records and an aggregate CSV, and finally rewrites the manifest
+with artifact checksums. Each file goes through a temp file and os.replace, so
+none is left half-written. Wall-clock timestamps go to a run.log sidecar so
+that every checksummed artifact is byte-reproducible from the config and seed
+alone.
 """
 from __future__ import annotations
 
@@ -22,13 +23,14 @@ import os
 import sys
 import time
 import traceback
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, checks
 from .engine import (
+    FIELD_KINDS,
     MODES,
     TRIAL_SEED_STRIDE,
     EpisodeRecord,
@@ -39,11 +41,14 @@ from .engine import (
     run_trial,
     trial_seed,
 )
-from .probe import ConfigurationError
+from .probe import ANGLES_PER_LAYER, ConfigurationError
 
 ENV_OUT_ROOT = "VQSENSE_OUT"
 _CONFIG_ALIASES = {"t": "horizon", "l": "shots"}
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+# the fields each `bayesian` variant sets, overriding the file and the defaults
+BAYESIAN_VARIANTS = {"ensemble": {"ensemble": 5, "dropout": 0.0},
+                     "dropout": {"ensemble": 1, "dropout": 0.4}}
 
 
 class ConfigFileError(ValueError):
@@ -52,15 +57,9 @@ class ConfigFileError(ValueError):
 
 def parse_value(name: str, text: str):
     """Convert the text of a config-file value or flag to its RunConfig field type."""
-    kind = _FIELDS[name].type
+    kind = FIELD_KINDS.get(_FIELDS[name].type)
     try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)
-        if kind == "float | None":
-            return None if text.lower() in ("none", "") else float(text)
-        return text
+        return text if kind is None else kind[0](text)
     except ValueError as exc:
         raise ConfigFileError(f"bad value for {name!r}: {exc}") from None
 
@@ -73,6 +72,7 @@ def parse_config_file(path: str | Path) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigFileError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -84,6 +84,9 @@ def parse_config_file(path: str | Path) -> dict:
         key = _CONFIG_ALIASES.get(key, key)
         if key not in _FIELDS:
             raise ConfigFileError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in set_on:  # an alias counts as its field
+            raise ConfigFileError(f"{path}:{lineno}: {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = parse_value(key, text.strip())
         except ConfigFileError as exc:
@@ -169,25 +172,20 @@ def write_checkpoint(path: Path, header: str, values: np.ndarray) -> Path:
     return path
 
 
-def _manifest_base(cfg: RunConfig, command: str, extra: dict | None = None) -> dict:
-    payload = {
+def _manifest_base(cfg: RunConfig, command: str) -> dict:
+    return {
         "command": command,
         "version": __version__,
         "config": dataclasses.asdict(cfg),
         "seed_rule": f"trial i uses seed + i*{TRIAL_SEED_STRIDE} (base seed {cfg.seed})",
         "decisions": {
-            "measurement_basis": cfg.basis,
             "recurrent_cell": "gru",
-            "threshold_schedule": cfg.schedule,
             "lambda_init": cfg.lambda_start,
             "theta_gradient": "score-function with running-mean baseline",
         },
         "artifacts": {},
         "status": "running",
     }
-    if extra:
-        payload.update(extra)
-    return payload
 
 
 def _finalize_manifest(out_dir: Path, payload: dict, paths: list[Path]) -> None:
@@ -264,17 +262,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_bayesian(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    if args.variant == "ensemble":
-        cfg = dataclasses.replace(cfg, ensemble=5, dropout=0.0)
-    else:
-        cfg = dataclasses.replace(cfg, ensemble=1, dropout=0.4)
+    cfg = dataclasses.replace(build_config(args), **BAYESIAN_VARIANTS[args.variant])
     out_dir = resolve_out_dir(args, f"bayesian-{args.variant}")
-    extra = {"variant": args.variant, "dropout_passes": cfg.dropout_passes}
-    return _run_modes(cfg, [cfg.mode], out_dir, _manifest_base(cfg, "bayesian", extra))
+    payload = _manifest_base(cfg, "bayesian") | {"variant": args.variant}
+    return _run_modes(cfg, [cfg.mode], out_dir, payload)
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {args.seed}")
     results = checks.run_all(seed=args.seed, corrupt=args.corrupt)
     report = {"seed": args.seed, "checks": results,
               "passed": all(r["passed"] for r in results)}
@@ -292,7 +288,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
         paths = [
             write_checkpoint(
                 out_dir / "theta.txt",
-                f"theta layers={cfg.layers} count={cfg.layers * 4}",
+                f"theta layers={cfg.layers} count={cfg.layers * ANGLES_PER_LAYER}",
                 state.theta.flat(),
             )
         ]
@@ -308,19 +304,14 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     return _run_recorded(out_dir, _manifest_base(cfg, "pretrain"), work)
 
 
-def _add_common_flags(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
+def _add_common_flags(p: argparse.ArgumentParser, fixed: Collection[str] = ()) -> None:
+    p.allow_abbrev = False  # whole names only: a fixed --dropout must not mean --dropout-passes
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--alpha")
-    p.add_argument("--T", dest="horizon", help="horizon (number of time steps)")
-    p.add_argument("--seed")
-    if with_mode:
-        p.add_argument("--mode", choices=MODES)
     p.add_argument("--out-dir")
-    p.add_argument("--trials")
-    p.add_argument("--hidden-size", dest="hidden_size")
-    p.add_argument("--eta")
-    p.add_argument("--eta-theta", dest="eta_theta")
-    p.add_argument("--tau")
+    p.add_argument("--T", dest="horizon", help="horizon (number of time steps)")
+    for name in _FIELDS:
+        if name not in fixed:
+            p.add_argument("--" + name.replace("_", "-"), dest=name)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -335,12 +326,12 @@ def main(argv: list[str] | None = None) -> int:
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="run all four benchmark modes")
-    _add_common_flags(p_bench, with_mode=False)
+    _add_common_flags(p_bench, fixed=("mode",))
     p_bench.set_defaults(func=cmd_bench)
 
     p_bayes = sub.add_parser("bayesian", help="run with an ensemble or dropout estimator")
-    p_bayes.add_argument("variant", choices=("ensemble", "dropout"))
-    _add_common_flags(p_bayes)
+    p_bayes.add_argument("variant", choices=BAYESIAN_VARIANTS)
+    _add_common_flags(p_bayes, fixed=set().union(*BAYESIAN_VARIANTS.values()))
     p_bayes.set_defaults(func=cmd_bayesian)
 
     p_grad = sub.add_parser("gradcheck", help="verify every gradient pathway")

@@ -29,11 +29,13 @@ TRIAL_SEED_STRIDE = 9973
 # peak-memory headroom, not speed: in paired serve-n4 runs blocks of 32 took
 # 0.9 MB more peak RSS, and their trial time was not measurably different.
 BLOCK = 16
-# RunConfig field annotation -> (accepted types, description); bools never pass
-_NUMERIC_KINDS = {
-    "int": ((int, np.integer), "an integer"),
-    "float": (numbers.Real, "a real number"),
-    "float | None": ((numbers.Real, type(None)), "a real number or None"),
+# RunConfig field annotation -> (text parser, accepted types, description); a str
+# field keeps its text, and bools never pass
+FIELD_KINDS = {
+    "int": (int, (int, np.integer), "an integer"),
+    "float": (float, numbers.Real, "a real number"),
+    "float | None": (lambda text: None if text.lower() in ("none", "") else float(text),
+                     (numbers.Real, type(None)), "a real number or None"),
 }
 
 
@@ -65,7 +67,7 @@ class RunConfig:
     dropout_passes: int = 10
     basis: str = "hadamard"
     lambda_init: float | None = None  # default log(m)
-    pretrain_samples: int = 20
+    pretrain_samples: int = 20  # 0: no pretraining
     pretrain_epochs: int = 100
     pretrain_lr: float = 0.005
     probe_pretrain_steps: int = 100
@@ -75,8 +77,8 @@ class RunConfig:
         """Reject every invalid field up front, before any artifact is written."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in _NUMERIC_KINDS:
-                allowed, what = _NUMERIC_KINDS[f.type]
+            if f.type in FIELD_KINDS:
+                _, allowed, what = FIELD_KINDS[f.type]
                 if isinstance(value, bool) or not isinstance(value, allowed):
                     raise ConfigurationError(f"{f.name} must be {what}, got {value!r}")
         rules = [
@@ -97,11 +99,11 @@ class RunConfig:
             ("lambda_init", self.lambda_init is None or np.isfinite(self.lambda_init),
              "must be finite"),
         ]
-        for name in ("eta_theta", "lr", "pretrain_lr", "l2", "seed",
+        for name in ("eta_theta", "lr", "pretrain_lr", "l2", "seed", "pretrain_samples",
                      "pretrain_epochs", "probe_pretrain_steps"):
             rules.append((name, 0 <= getattr(self, name) < np.inf, "must be >= 0 and finite"))
         for name in ("layers", "shots", "horizon", "trials", "hidden_size",
-                     "decay_every", "ensemble", "dropout_passes", "pretrain_samples"):
+                     "decay_every", "ensemble", "dropout_passes"):
             rules.append((name, getattr(self, name) >= 1, "must be >= 1"))
         for name, ok, requirement in rules:
             if not ok:
@@ -110,7 +112,7 @@ class RunConfig:
 
     @property
     def l_max(self) -> float:
-        return 1.0 if self.loss_kind == "coverage" else float(np.pi)
+        return 1.0 if self.loss_kind == "coverage" else conformal.EMPTY_SET_DISTANCE
 
     @property
     def lambda_start(self) -> float:
@@ -270,8 +272,11 @@ def pretrain_run(state: RunState) -> list[tuple[np.ndarray, int]]:
     cycling through the pretraining phases with freshly resampled shots
     (the recorded shots carry no probe-angle dependence). The baseline
     accumulators are reset afterwards, so the sensing loop's starts fresh.
+    With pretrain_samples = 0 it returns at once, drawing nothing.
     """
     cfg = state.cfg
+    if not cfg.pretrain_samples:
+        return []
     dataset = make_pretrain_dataset(state, cfg.pretrain_samples)
     for model in state.models:
         model.fit(dataset, cfg.pretrain_lr, cfg.l2, cfg.pretrain_epochs, rng=state.rng)
@@ -392,13 +397,12 @@ def frozen_posteriors(state: RunState, xs: np.ndarray) -> tuple[np.ndarray, np.n
     return shots, posts
 
 
-def run_trial(cfg: RunConfig, seed: int, pretrain: bool = True) -> list[EpisodeRecord]:
-    """One full trial: init, pretrain, then `horizon` sensing steps. When the
+def run_trial(cfg: RunConfig, seed: int) -> list[EpisodeRecord]:
+    """One full trial: init, pretrain_run, then `horizon` sensing steps. When the
     probe and estimators stay fixed, every step's posterior is scored in
     blocks before the first step (frozen_posteriors), with the same draws."""
     state = init_state(cfg, seed)
-    if pretrain:
-        pretrain_run(state)
+    pretrain_run(state)
     xs = phase_sequence(cfg, state.rng)
     ahead = repeat(None) if cfg.updates_params else zip(*frozen_posteriors(state, xs))
     for x_index, scored in zip(xs, ahead):

@@ -71,9 +71,9 @@ class TestCriterion2RiskBound:
                 alpha=float(rng.uniform(0.1, 0.5)),
                 eta=float(rng.uniform(0.05, 1.0)),
                 horizon=int(rng.integers(50, 501)),
-                schedule=("constant", "decay")[int(rng.integers(2))],
+                schedule=("constant", "decay")[int(rng.integers(2))], pretrain_samples=0,
             )
-            records = run_trial(cfg, int(rng.integers(10_000)), pretrain=False)
+            records = run_trial(cfg, int(rng.integers(10_000)))
             avg_loss = records[-1].avg_loss
             bound = conformal.risk_bound(
                 cfg.horizon, cfg.eta, cfg.schedule, cfg.l_max
@@ -93,9 +93,9 @@ class TestCriterion3Telescoping:
     def test_constant_eta_T1000(self):
         cfg = RunConfig(
             n=2, layers=2, m=5, shots=4, hidden_size=8,
-            horizon=1000, schedule="constant",
+            horizon=1000, schedule="constant", pretrain_samples=0,
         )
-        records = run_trial(cfg, 0, pretrain=False)
+        records = run_trial(cfg, 0)
         lam_1 = records[0].lam_before
         lam_end = records[-1].lam_before + cfg.eta * (records[-1].loss - cfg.alpha)
         loss_sum = sum(r.loss - cfg.alpha for r in records)
@@ -201,13 +201,7 @@ class TestCriterion6GradientSuite:
 
 
 class TestCriterion7BayesianVariants:
-    @pytest.mark.parametrize(
-        "label,overrides",
-        [
-            ("ensemble", {"ensemble": 5}),
-            ("dropout", {"dropout": 0.4}),
-        ],
-    )
+    @pytest.mark.parametrize("label,overrides", list(cli.BAYESIAN_VARIANTS.items()))
     def test_bayesian_coverage(self, label, overrides):
         _, trials = experiment(alpha=0.4, **overrides)
         cov = final_coverage(trials)

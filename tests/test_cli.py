@@ -14,7 +14,7 @@ from vqsense.cli import (
     write_checkpoint,
     ConfigFileError,
 )
-from vqsense.engine import RunConfig, trial_seed
+from vqsense.engine import RunConfig, init_state, trial_seed
 
 FAST_CONFIG = """
 # small run for tests
@@ -29,6 +29,18 @@ pretrain_epochs = 3
 probe_pretrain_steps = 2
 trials = 1
 """
+
+
+# a valid value other than the default for every RunConfig field
+FIELD_TEXT = {
+    "n": "3", "layers": "2", "m": "5", "shots": "4", "horizon": "7", "alpha": "0.25",
+    "tau": "0.7", "eta": "0.4", "eta_theta": "0.002", "schedule": "decay", "mode": "static",
+    "loss_kind": "distance", "seed": "9", "trials": "2", "hidden_size": "8", "lr": "0.01",
+    "l2": "0.001", "decay": "0.5", "decay_every": "20", "dropout": "0.2", "ensemble": "2",
+    "dropout_passes": "3", "basis": "computational", "lambda_init": "1.5",
+    "pretrain_samples": "0", "pretrain_epochs": "3", "pretrain_lr": "0.01",
+    "probe_pretrain_steps": "2", "phase_process": "drift",
+}
 
 
 @pytest.fixture
@@ -77,6 +89,30 @@ class TestConfigFile:
         with pytest.raises(ConfigFileError, match="expected 'key = value'"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["alpha = 0.3\nalpha = 0.5\n", "T = 3\nn = 2\nT = 5\n", "T = 3\nn = 2\nhorizon = 5\n"],
+        ids=["same-key", "same-alias", "alias-and-field"],
+    )
+    def test_key_set_twice_names_both_lines(self, tmp_path, text):
+        path = tmp_path / "twice.cfg"
+        path.write_text(text)
+        last = len(text.splitlines())
+        with pytest.raises(ConfigFileError, match=f"twice.cfg:{last}: .* already set on line 1"):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+    def test_every_field_has_a_flag(self, field, tmp_path, monkeypatch):
+        """`key = value` in a file and `--key-name value` give the same config."""
+        configs = []
+        monkeypatch.setattr(cli, "cmd_run", lambda args: configs.append(build_config(args)) or 0)
+        path = tmp_path / "one.cfg"
+        path.write_text(f"{field.name} = {FIELD_TEXT[field.name]}\n")
+        assert main(["run", "--config", str(path)]) == 0
+        flag = "--" + field.name.replace("_", "-")
+        assert main(["run", flag, FIELD_TEXT[field.name]]) == 0
+        assert configs[0] == configs[1] != RunConfig()
+
     def test_flags_override_file(self, fast_cfg_file):
         import argparse
 
@@ -115,6 +151,29 @@ class TestExitCodes:
         assert not out.exists()
         assert "error: cannot read config file" in capsys.readouterr().err
 
+    def test_key_set_twice_exits_2_no_artifacts(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text("alpha = 0.3\nalpha = 0.5\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "twice.cfg:2: 'alpha' already set on line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bench", "--mode", "static"], ["bayesian", "ensemble", "--ensemble", "2"],
+         # whole flag names only, or this would set dropout_passes
+         ["bayesian", "dropout", "--dropout", "3"]],
+        ids=["bench-mode", "bayesian-ensemble", "bayesian-dropout"],
+    )
+    def test_flag_of_a_fixed_field_exits_2(self, argv, fast_cfg_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(fast_cfg_file), "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("alpha = banana\n")
@@ -136,6 +195,10 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"]
         assert len(report["checks"]) == 3
+
+    def test_gradcheck_negative_seed_exits_2(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 2
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_gradcheck_corrupt_fails(self, capsys):
         rc = main(["gradcheck", "--seed", "0", "--corrupt"])
@@ -266,6 +329,17 @@ class TestCheckpoints:
         assert theta.size == 8
         header, w = read_checkpoint(out / "weights_0.txt")
         assert f"count={w.size}" in header
+
+    def test_pretrain_without_samples_writes_initial_weights(self, fast_cfg_file, tmp_path):
+        out = tmp_path / "pre"
+        rc = main(["pretrain", "--config", str(fast_cfg_file), "--pretrain-samples", "0",
+                   "--out-dir", str(out)])
+        assert rc == 0
+        cfg = RunConfig(**json.loads((out / "manifest.json").read_text())["config"])
+        state = init_state(cfg, trial_seed(cfg, 0))
+        np.testing.assert_array_equal(read_checkpoint(out / "theta.txt")[1], state.theta.flat())
+        np.testing.assert_array_equal(read_checkpoint(out / "weights_0.txt")[1],
+                                      state.models[0].get_weights())
 
     def test_pretrain_deterministic(self, fast_cfg_file, tmp_path):
         out1, out2 = tmp_path / "p1", tmp_path / "p2"

@@ -72,7 +72,7 @@ class TestRunConfig:
             ("dropout", -0.1), ("ensemble", 0), ("dropout_passes", 0),
             ("decay_every", 0), ("decay", 0.0), ("lr", -1.0), ("pretrain_lr", -1.0),
             ("l2", -1.0), ("seed", -1), ("lambda_init", float("nan")),
-            ("pretrain_samples", 0), ("pretrain_epochs", -1),
+            ("pretrain_samples", -1), ("pretrain_epochs", -1),
             ("probe_pretrain_steps", -1), ("eta", float("inf")), ("tau", float("inf")),
             ("lr", float("inf")), ("eta_theta", float("inf")), ("l2", float("inf")),
             ("pretrain_lr", float("inf")), ("horizon", 6.5), ("n", 2.0),
@@ -410,6 +410,15 @@ class TestPretrainRun:
         pretrain_run(state)
         np.testing.assert_array_equal(state.theta.flat(), theta_before)
 
+    def test_no_samples_draws_nothing(self):
+        state = init_state(fast_config(pretrain_samples=0), 0)
+        theta_before, rng_before = state.theta.flat(), state.rng.bit_generator.state
+        weights_before = state.models[0].get_weights()
+        assert pretrain_run(state) == []
+        assert state.rng.bit_generator.state == rng_before
+        np.testing.assert_array_equal(state.theta.flat(), theta_before)
+        np.testing.assert_array_equal(state.models[0].get_weights(), weights_before)
+
     def test_beats_uniform_on_pretrain_set(self):
         cfg = RunConfig(
             n=2, layers=2, m=5, shots=6, hidden_size=16,
@@ -472,7 +481,8 @@ class TestRunTrial:
     def test_draws_come_before_steps_only_when_frozen(self, mode, monkeypatch):
         """Each step draws once, in step order; a frozen trial makes every
         draw before its first sense_step, any other trial inside the step."""
-        cfg = fast_config(mode=mode, horizon=engine.BLOCK + 3, dropout=0.3, dropout_passes=2)
+        cfg = fast_config(mode=mode, horizon=engine.BLOCK + 3, dropout=0.3, dropout_passes=2,
+                          pretrain_samples=0)
         events = []
         draw, step = engine.RunState.draw, engine.sense_step
 
@@ -486,7 +496,7 @@ class TestRunTrial:
 
         monkeypatch.setattr(engine.RunState, "draw", logged_draw)
         monkeypatch.setattr(engine, "sense_step", logged_step)
-        xs = [r.x_index for r in run_trial(cfg, 3, pretrain=False)]
+        xs = [r.x_index for r in run_trial(cfg, 3)]
         if cfg.updates_params:
             want = [(kind, x) for x in xs for kind in ("step", "draw")]
         else:
@@ -494,8 +504,8 @@ class TestRunTrial:
         assert events == want
 
     def test_horizon_one(self):
-        cfg = fast_config(horizon=1)
-        records = run_trial(cfg, 0, pretrain=False)
+        cfg = fast_config(horizon=1, pretrain_samples=0)
+        records = run_trial(cfg, 0)
         assert len(records) == 1
 
     def test_reproducible_records(self):
@@ -505,8 +515,8 @@ class TestRunTrial:
         assert [dataclasses.asdict(r) for r in a] == [dataclasses.asdict(r) for r in b]
 
     def test_telescoping_identity_on_trajectory(self):
-        cfg = fast_config(horizon=40, mode="dynamic")
-        records = run_trial(cfg, 1, pretrain=False)
+        cfg = fast_config(horizon=40, mode="dynamic", pretrain_samples=0)
+        records = run_trial(cfg, 1)
         lam_first = records[0].lam_before
         loss_sum = sum(r.loss - cfg.alpha for r in records)
         # lam after the last update
@@ -514,23 +524,23 @@ class TestRunTrial:
         assert abs(final_lam - lam_first - cfg.eta * loss_sum) <= 1e-9
 
     def test_empirical_risk_bound(self):
-        cfg = fast_config(horizon=60)
+        cfg = fast_config(horizon=60, pretrain_samples=0)
         for seed in range(3):
-            records = run_trial(cfg, seed, pretrain=False)
+            records = run_trial(cfg, seed)
             avg = records[-1].avg_loss
             bound = conformal.risk_bound(cfg.horizon, cfg.eta, cfg.schedule, cfg.l_max)
             assert avg <= cfg.alpha + bound + 1e-12
 
     def test_drift_sequence(self):
-        cfg = fast_config(phase_process="drift")
-        records = run_trial(cfg, 0, pretrain=False)
+        cfg = fast_config(phase_process="drift", pretrain_samples=0)
+        records = run_trial(cfg, 0)
         assert all(0 <= r.x_index < cfg.m for r in records)
 
 
 class TestAggregate:
     def test_shapes_and_consistency(self):
-        cfg = fast_config()
-        trials = [run_trial(cfg, s, pretrain=False) for s in range(2)]
+        cfg = fast_config(pretrain_samples=0)
+        trials = [run_trial(cfg, s) for s in range(2)]
         agg = aggregate(trials)
         assert len(agg["t"]) == cfg.horizon
         # mean coverage at t equals recomputation from stored losses
@@ -541,8 +551,8 @@ class TestAggregate:
         assert agg["mean_coverage"][t] == pytest.approx(manual, abs=1e-12)
 
     def test_distance_loss_coverage_from_sets(self):
-        cfg = fast_config(loss_kind="distance", horizon=30)
-        trials = [run_trial(cfg, s, pretrain=False) for s in range(2)]
+        cfg = fast_config(loss_kind="distance", horizon=30, pretrain_samples=0)
+        trials = [run_trial(cfg, s) for s in range(2)]
         covered = np.array([[r.set_mask[r.x_index] for r in tr] for tr in trials])
         assert not covered.all()  # a miss, so coverage and 1 - distance differ
         agg = aggregate(trials)

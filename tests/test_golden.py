@@ -2,9 +2,10 @@
 
 tests/golden/trials.json holds one short trial per run mode, plus a dynamic
 and a static-probe-estimator trial with MC dropout, each with pretraining on at
-a reduced budget. A change that keeps RNG use and float order reproduces it
-exactly; the check allows a relative 1e-9 on floats and requires ints and bools
-to match exactly.
+a reduced budget, and a dynamic trial with no pretraining (pretrain_samples =
+0). A change that keeps RNG use and float order reproduces it exactly; the
+check allows a relative 1e-9 on floats and requires ints and bools to match
+exactly.
 
 Regenerate the fixture (only when a change is meant to alter behaviour):
 
@@ -27,6 +28,7 @@ SMALL = dict(
 )
 CASES = {mode: dict(SMALL, mode=mode) for mode in MODES}
 CASES["dynamic-dropout"] = dict(SMALL, dropout=0.4, dropout_passes=3)
+CASES["dynamic-unpretrained"] = dict(SMALL, pretrain_samples=0)
 # frozen estimators with dropout: block scoring ahead of the steps
 CASES["static-probe-estimator-dropout"] = dict(
     SMALL, mode="static-probe-estimator", dropout=0.4, dropout_passes=3
