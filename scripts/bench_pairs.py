@@ -50,6 +50,9 @@ EXTRA_CONFIGS = {
     "ensemble-3": "trials = 1\nensemble = 3\nseed = 3\n",
     "static-pe-dropout": "trials = 1\nmode = static-probe-estimator\ndropout = 0.2\nseed = 3\n",
     "static-pe-ensemble": "trials = 1\nmode = static-probe-estimator\nensemble = 3\nseed = 3\n",
+    "decay-distance": "trials = 1\nschedule = decay\nloss_kind = distance\nseed = 3\n",
+    "static-pe-decay": "trials = 1\nmode = static-probe-estimator\nschedule = decay\nseed = 3\n",
+    "drift": "trials = 1\nphase_process = drift\nseed = 3\n",
 }
 # Largest relative score difference a config whose digests differ may show
 # while its shots, sets, thresholds and losses all match.

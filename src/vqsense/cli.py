@@ -201,10 +201,14 @@ def _log(out_dir: Path, message: str) -> None:
 
 def _run_recorded(out_dir: Path, payload: dict, work: Callable[[], list[Path]]) -> int:
     """Write the manifest, then run work() for its artifact paths and record
-    them with their checksums. A failure leaves the manifest "partial", its
+    them with their checksums. An out_dir that cannot be made raises
+    ConfigurationError. A failure leaves the manifest "partial", its
     traceback in run.log, and returns 1; Ctrl-C leaves it "interrupted" and
     is raised again."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {out_dir}: {exc}") from None
     write_manifest(out_dir, payload)
     _log(out_dir, f"start {payload['command']}")
     try:

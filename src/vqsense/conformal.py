@@ -4,11 +4,11 @@ The estimation set at threshold lam collects every grid phase whose score
 is <= lam (boundary included). The threshold evolves by
 lam <- lam + eta_t * (loss - alpha), which telescopes to an exact identity
 on the running loss and yields the deterministic long-run bound implemented
-in risk_bound().
+in risk_bound(). Every function here is pure: the threshold is one float
+that the caller keeps (engine.RunState.lam), and eta, alpha, the schedule
+and l_max are passed in from its RunConfig.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,36 +16,6 @@ from .probe import ConfigurationError
 
 SCHEDULES = ("constant", "decay")
 EMPTY_SET_DISTANCE = np.pi  # cap for the min-distance loss of an empty set
-
-
-@dataclass(frozen=True)
-class ThresholdState:
-    """Threshold lam plus its step-size schedule and update count.
-
-    With schedule="decay" the step size at (1-indexed) step t is eta/sqrt(t);
-    "constant" uses eta throughout. t counts completed updates.
-    """
-
-    lam: float
-    eta: float
-    alpha: float
-    schedule: str = "constant"
-    l_max: float = 1.0
-    t: int = 0
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ConfigurationError("threshold step size must be > 0")
-        if not 0 < self.alpha < 1:
-            raise ConfigurationError("target loss alpha must be in (0, 1)")
-        if self.schedule not in SCHEDULES:
-            raise ConfigurationError(f"unknown schedule {self.schedule!r}")
-
-    def step_size(self) -> float:
-        """eta_t for the upcoming update (step t+1, 1-indexed)."""
-        if self.schedule == "constant":
-            return self.eta
-        return self.eta / np.sqrt(self.t + 1)
 
 
 def build_set(scores: np.ndarray, lam: float) -> np.ndarray:
@@ -78,12 +48,19 @@ def min_distance_loss(
     return float(np.min(np.abs(members - x_value)))
 
 
-def update_threshold(state: ThresholdState, loss: float) -> ThresholdState:
-    """One online update lam <- lam + eta_t * (loss - alpha)."""
-    if not 0 <= loss <= state.l_max + 1e-12:
-        raise ValueError(f"loss {loss} outside [0, {state.l_max}]")
-    eta_t = state.step_size()
-    return replace(state, lam=state.lam + eta_t * (loss - state.alpha), t=state.t + 1)
+def update_threshold(
+    lam: float, loss: float, t: int, eta: float, alpha: float,
+    schedule: str = "constant", l_max: float = 1.0,
+) -> float:
+    """One online update lam + eta_t * (loss - alpha), after t earlier updates.
+
+    eta_t is eta under "constant" and eta / sqrt(t + 1) under "decay"."""
+    if not 0 <= loss <= l_max + 1e-12:
+        raise ValueError(f"loss {loss} outside [0, {l_max}]")
+    if schedule not in SCHEDULES:
+        raise ConfigurationError(f"unknown schedule {schedule!r}")
+    eta_t = eta if schedule == "constant" else eta / np.sqrt(t + 1)
+    return lam + eta_t * (loss - alpha)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -107,18 +84,13 @@ def risk_bound(
 
     Constant schedule: the telescoped step-size sequence sums to 1/eta, so
     the bound is (l_max + eta) / (horizon * eta). Decaying eta/sqrt(t): the
-    sum telescopes to sqrt(T)/eta and the largest step size is eta.
+    sum telescopes to sqrt(T)/eta. Either way the largest step size is eta.
     """
     if horizon < 1:
         raise ConfigurationError("horizon must be >= 1")
     if eta <= 0:
         raise ConfigurationError("eta must be > 0")
-    if schedule == "constant":
-        delta_sum = 1.0 / eta
-        eta_max = eta
-    elif schedule == "decay":
-        delta_sum = np.sqrt(horizon) / eta
-        eta_max = eta
-    else:
+    if schedule not in SCHEDULES:
         raise ConfigurationError(f"unknown schedule {schedule!r}")
-    return float((l_max + eta_max) / horizon * delta_sum)
+    delta_sum = (1.0 if schedule == "constant" else np.sqrt(horizon)) / eta
+    return float((l_max + eta) / horizon * delta_sum)

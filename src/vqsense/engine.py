@@ -151,7 +151,7 @@ class RunState:
     cfg: RunConfig
     theta: probe.ProbeParams
     models: list[SequentialPhaseEstimator]
-    thr: conformal.ThresholdState
+    lam: float  # the threshold; set by init_state, updated by sense_step
     basis: np.ndarray  # readout unitary, an entry of probe.BASES
     grid: np.ndarray
     rng: np.random.Generator
@@ -159,7 +159,7 @@ class RunState:
     g_sum: float = 0.0
     g_count: int = 0
     loss_sum: float = 0.0
-    steps: int = 0
+    steps: int = 0  # also the number of threshold updates, in the modes that make them
     records: list[EpisodeRecord] = field(default_factory=list)
     # p(s | x) per phase index, valid for the angles whose bytes are _dist_key
     _dists: dict[int, np.ndarray] = field(default_factory=dict)
@@ -233,18 +233,11 @@ def init_state(cfg: RunConfig, seed: int) -> RunState:
         )
         for k in range(cfg.ensemble)
     ]
-    thr = conformal.ThresholdState(
-        lam=lam,
-        eta=cfg.eta,
-        alpha=cfg.alpha,
-        schedule=cfg.schedule,
-        l_max=cfg.l_max,
-    )
     return RunState(
         cfg=cfg,
         theta=theta,
         models=models,
-        thr=thr,
+        lam=lam,
         basis=probe.BASES[cfg.basis],
         grid=probe.phase_grid(cfg.m),
         rng=rng,
@@ -330,7 +323,7 @@ def sense_step(
     inputs (state.draw) and scores them itself."""
     cfg = state.cfg
     x_value = float(state.grid[x_index])
-    lam = state.thr.lam
+    lam = state.lam
 
     if scored is None:
         shots, masks = state.draw(x_index)
@@ -347,7 +340,9 @@ def sense_step(
 
     skipped = False
     if cfg.updates_threshold:
-        state.thr = conformal.update_threshold(state.thr, loss)
+        state.lam = conformal.update_threshold(
+            lam, loss, state.steps, cfg.eta, cfg.alpha, cfg.schedule, cfg.l_max
+        )
     if cfg.updates_params:
         lr = cfg.lr * cfg.decay ** (state.steps // cfg.decay_every)
         for model, run in zip(state.models, runs):

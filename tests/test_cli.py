@@ -159,6 +159,24 @@ class TestExitCodes:
         assert not out.exists()
         assert "twice.cfg:2: 'alpha' already set on line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["file", "below-file", "env"])
+    @pytest.mark.parametrize(
+        "command", [["run"], ["bench"], ["bayesian", "ensemble"], ["pretrain"]],
+        ids=["run", "bench", "bayesian", "pretrain"],
+    )
+    def test_unusable_out_dir_exits_2(self, command, where, fast_cfg_file, tmp_path,
+                                      monkeypatch, capsys):
+        blocker = tmp_path / "F"
+        blocker.write_text("keep me\n")
+        argv = command + ["--config", str(fast_cfg_file)]
+        if where == "env":
+            monkeypatch.setenv(cli.ENV_OUT_ROOT, str(blocker))
+        else:
+            argv += ["--out-dir", str(blocker / "sub" if where == "below-file" else blocker)]
+        assert main(argv) == 2
+        assert "error: cannot create output directory" in capsys.readouterr().err
+        assert blocker.read_text() == "keep me\n"
+
     @pytest.mark.parametrize(
         "argv",
         [["bench", "--mode", "static"], ["bayesian", "ensemble", "--ensemble", "2"],

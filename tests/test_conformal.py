@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vqsense import conformal
-from vqsense.conformal import ThresholdState, build_set, update_threshold
+from vqsense.conformal import build_set, update_threshold
 from vqsense.probe import ConfigurationError, phase_grid
 
 
@@ -76,42 +76,36 @@ class TestLosses:
 
 class TestThresholdUpdate:
     def test_zero_correction_at_target(self):
-        state = ThresholdState(lam=1.0, eta=0.1, alpha=0.3)
-        assert update_threshold(state, 0.3).lam == 1.0
+        assert update_threshold(1.0, 0.3, 0, eta=0.1, alpha=0.3) == 1.0
 
     def test_miss_raises_threshold(self):
-        state = ThresholdState(lam=1.0, eta=0.1, alpha=0.3)
-        assert abs(update_threshold(state, 1.0).lam - 1.07) < 1e-15
+        assert abs(update_threshold(1.0, 1.0, 0, eta=0.1, alpha=0.3) - 1.07) < 1e-15
 
     def test_hit_lowers_threshold(self):
-        state = ThresholdState(lam=1.0, eta=0.1, alpha=0.3)
-        assert abs(update_threshold(state, 0.0).lam - 0.97) < 1e-15
-
-    def test_counters_advance(self):
-        state = ThresholdState(lam=1.0, eta=0.1, alpha=0.3)
-        state = update_threshold(state, 1.0)
-        state = update_threshold(state, 0.0)
-        assert state.t == 2
+        assert abs(update_threshold(1.0, 0.0, 0, eta=0.1, alpha=0.3) - 0.97) < 1e-15
 
     def test_decay_schedule_step_sizes(self):
-        state = ThresholdState(lam=0.0, eta=0.2, alpha=0.5, schedule="decay")
-        assert state.step_size() == 0.2
-        state = update_threshold(state, 1.0)
-        assert abs(state.step_size() - 0.2 / np.sqrt(2)) < 1e-15
+        # after t updates the step size is eta / sqrt(t + 1)
+        assert update_threshold(0.0, 1.0, 0, eta=0.2, alpha=0.5, schedule="decay") == 0.2 * 0.5
+        lam = update_threshold(0.0, 1.0, 1, eta=0.2, alpha=0.5, schedule="decay")
+        assert abs(lam - 0.2 / np.sqrt(2) * 0.5) < 1e-15
 
     def test_telescoping_identity_constant_eta(self, rng):
-        state = ThresholdState(lam=2.0, eta=0.1, alpha=0.3)
+        lam = 2.0
         losses = rng.integers(0, 2, size=1000).astype(float)
-        for loss in losses:
-            state = update_threshold(state, loss)
+        for t, loss in enumerate(losses):
+            lam = update_threshold(lam, loss, t, eta=0.1, alpha=0.3)
         expected = 2.0 + 0.1 * np.sum(losses - 0.3)
-        assert abs(state.lam - expected) <= 1e-9
+        assert abs(lam - expected) <= 1e-9
 
-    def test_invalid_params(self):
+    @pytest.mark.parametrize("loss,l_max", [(-0.1, 1.0), (1.1, 1.0), (3.2, np.pi)])
+    def test_loss_outside_range_rejected(self, loss, l_max):
+        with pytest.raises(ValueError, match="outside"):
+            update_threshold(1.0, loss, 0, eta=0.1, alpha=0.3, l_max=l_max)
+
+    def test_unknown_schedule_rejected(self):
         with pytest.raises(ConfigurationError):
-            ThresholdState(lam=0.0, eta=-0.1, alpha=0.3)
-        with pytest.raises(ConfigurationError):
-            ThresholdState(lam=0.0, eta=0.1, alpha=1.5)
+            update_threshold(1.0, 0.0, 0, eta=0.1, alpha=0.3, schedule="nope")
 
 
 class TestSoftSetSize:

@@ -76,7 +76,7 @@ class TestRunConfig:
             ("probe_pretrain_steps", -1), ("eta", float("inf")), ("tau", float("inf")),
             ("lr", float("inf")), ("eta_theta", float("inf")), ("l2", float("inf")),
             ("pretrain_lr", float("inf")), ("horizon", 6.5), ("n", 2.0),
-            ("shots", True),
+            ("shots", True), ("alpha", 1.5),
         ],
     )
     def test_invalid_field_rejected(self, field, value):
@@ -89,19 +89,19 @@ class TestSenseStep:
         cfg = fast_config(mode="static")
         state = init_state(cfg, 0)
         before = state_hash(state)
-        lam_before = state.thr.lam
+        lam_before = state.lam
         rec = sense_step(state, 2)
         assert isinstance(rec, EpisodeRecord)
         assert state_hash(state) == before
-        assert state.thr.lam == lam_before
+        assert state.lam == lam_before
 
     def test_static_threshold_freezes_lambda_only(self):
         cfg = fast_config(mode="static-threshold")
         state = init_state(cfg, 0)
         before = state_hash(state)
-        lam = state.thr.lam
+        lam = state.lam
         sense_step(state, 1)
-        assert state.thr.lam == lam
+        assert state.lam == lam
         assert state_hash(state) != before  # theta and w moved
 
     @pytest.mark.parametrize("mode", ["static", "static-threshold"])
@@ -111,18 +111,18 @@ class TestSenseStep:
         rng = np.random.default_rng(11)
         probe.ProbeParams.random(cfg.layers, rng)
         lam = rng.uniform(0.0, 2.0)
-        assert state.thr.lam == lam
+        assert state.lam == lam
         for t in range(4):
             assert sense_step(state, t % cfg.m).lam_before == lam
-        assert state.thr.lam == lam
+        assert state.lam == lam
 
     def test_static_probe_estimator_freezes_params_only(self):
         cfg = fast_config(mode="static-probe-estimator")
         state = init_state(cfg, 0)
         before = state_hash(state)
-        sense_step(state, 1)
+        rec = sense_step(state, 1)
         assert state_hash(state) == before
-        assert state.thr.t == 1
+        assert state.lam == cfg.lambda_start + cfg.eta * (rec.loss - cfg.alpha)
         assert state.g_count == 0  # no probe update, so no baseline either
 
     def test_loss_at_target_leaves_lambda(self):
@@ -131,7 +131,19 @@ class TestSenseStep:
         # force a set that surely contains the truth, then check the update rule
         rec = sense_step(state, 0)
         expect = cfg.lambda_start + cfg.eta * (rec.loss - cfg.alpha)
-        assert state.thr.lam == pytest.approx(expect)
+        assert state.lam == pytest.approx(expect)
+
+    @pytest.mark.parametrize("mode", ["dynamic", "static-probe-estimator"])
+    def test_decay_schedule_uses_step_count(self, mode):
+        # step k (1-indexed) moves lam by eta / sqrt(k) * (loss - alpha)
+        cfg = fast_config(mode=mode, schedule="decay")
+        state = init_state(cfg, 0)
+        records = [sense_step(state, t % cfg.m) for t in range(4)]
+        lam = cfg.lambda_start
+        for k, rec in enumerate(records, start=1):
+            assert rec.lam_before == lam
+            lam = lam + cfg.eta / np.sqrt(k) * (rec.loss - cfg.alpha)
+        assert state.lam == lam
 
     def test_record_running_average(self):
         cfg = fast_config()

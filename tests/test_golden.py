@@ -2,8 +2,9 @@
 
 tests/golden/trials.json holds one short trial per run mode, plus a dynamic
 and a static-probe-estimator trial with MC dropout, each with pretraining on at
-a reduced budget, and a dynamic trial with no pretraining (pretrain_samples =
-0). A change that keeps RNG use and float order reproduces it exactly; the
+a reduced budget, a dynamic trial with no pretraining (pretrain_samples = 0),
+one with the decaying step size and the distance loss, and one whose phase
+drifts. A change that keeps RNG use and float order reproduces it exactly; the
 check allows a relative 1e-9 on floats and requires ints and bools to match
 exactly.
 
@@ -33,6 +34,8 @@ CASES["dynamic-unpretrained"] = dict(SMALL, pretrain_samples=0)
 CASES["static-probe-estimator-dropout"] = dict(
     SMALL, mode="static-probe-estimator", dropout=0.4, dropout_passes=3
 )
+CASES["dynamic-decay-distance"] = dict(SMALL, schedule="decay", loss_kind="distance")
+CASES["dynamic-drift"] = dict(SMALL, phase_process="drift")
 SEED = 17
 TRACED = ("x_index", "shots", "scores", "lam_before", "set_mask", "loss")
 

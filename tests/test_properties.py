@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vqsense.conformal import SCHEDULES, ThresholdState, update_threshold
+from vqsense.conformal import SCHEDULES, update_threshold
 from vqsense.engine import RunConfig
 from vqsense.estimator import SequentialPhaseEstimator, _posterior
 from vqsense.probe import ConfigurationError
@@ -28,17 +28,16 @@ from vqsense.probe import ConfigurationError
     fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300),
 )
 def test_threshold_update_telescopes(schedule, l_max, eta, alpha, lam, fractions):
-    """lam_T - lam_1 = sum_t eta_t (loss_t - alpha), and t counts the updates."""
-    state = ThresholdState(lam=lam, eta=eta, alpha=alpha, schedule=schedule, l_max=l_max)
+    """lam_T - lam_1 = sum_t eta_t (loss_t - alpha), with t the updates made so far."""
+    lam_t = lam
     drift = scale = 0.0
     for t, fraction in enumerate(fractions, start=1):
         loss = fraction * l_max
         eta_t = eta if schedule == "constant" else eta / math.sqrt(t)
         drift += eta_t * (loss - alpha)
         scale += abs(eta_t * (loss - alpha))
-        state = update_threshold(state, loss)
-    assert state.t == len(fractions)
-    assert abs((state.lam - lam) - drift) <= 1e-12 * len(fractions) * (abs(lam) + scale)
+        lam_t = update_threshold(lam_t, loss, t - 1, eta, alpha, schedule, l_max)
+    assert abs((lam_t - lam) - drift) <= 1e-12 * len(fractions) * (abs(lam) + scale)
 
 
 # the non-finite values get a branch of their own so they are drawn often
