@@ -38,11 +38,11 @@ def check_estimator_backprop(
         w = base.copy()
         w[k] += h
         model.set_weights(w)
-        f_plus = model.nll(shots, x_index)
+        f_plus = model.loss_grads(shots, x_index)[0]
         w = base.copy()
         w[k] -= h
         model.set_weights(w)
-        f_minus = model.nll(shots, x_index)
+        f_minus = model.loss_grads(shots, x_index)[0]
         numeric = (f_plus - f_minus) / (2 * h)
         rel = abs(flat_grad[k] - numeric) / max(abs(numeric), 1e-8)
         max_rel = max(max_rel, rel)

@@ -34,8 +34,6 @@ BLOCK = 16
 FIELD_KINDS = {
     "int": (int, (int, np.integer), "an integer"),
     "float": (float, numbers.Real, "a real number"),
-    "float | None": (lambda text: None if text.lower() in ("none", "") else float(text),
-                     (numbers.Real, type(None)), "a real number or None"),
 }
 
 
@@ -65,8 +63,6 @@ class RunConfig:
     dropout: float = 0.0
     ensemble: int = 1
     dropout_passes: int = 10
-    basis: str = "hadamard"
-    lambda_init: float | None = None  # default log(m)
     pretrain_samples: int = 20  # 0: no pretraining
     pretrain_epochs: int = 100
     pretrain_lr: float = 0.005
@@ -86,7 +82,6 @@ class RunConfig:
             ("loss_kind", self.loss_kind in LOSS_KINDS, f"must be one of {LOSS_KINDS}"),
             ("schedule", self.schedule in conformal.SCHEDULES,
              f"must be one of {conformal.SCHEDULES}"),
-            ("basis", self.basis in probe.BASES, f"must be one of {tuple(probe.BASES)}"),
             ("phase_process", self.phase_process in PHASE_PROCESSES,
              f"must be one of {PHASE_PROCESSES}"),
             ("n", 2 <= self.n <= MAX_QUBITS, f"must be in [2, {MAX_QUBITS}]"),
@@ -96,8 +91,6 @@ class RunConfig:
             ("eta", 0 < self.eta < np.inf, "must be > 0 and finite"),
             ("dropout", 0 <= self.dropout < 1, "must be in [0, 1)"),
             ("decay", 0 < self.decay <= 1, "must be in (0, 1]"),
-            ("lambda_init", self.lambda_init is None or np.isfinite(self.lambda_init),
-             "must be finite"),
         ]
         for name in ("eta_theta", "lr", "pretrain_lr", "l2", "seed", "pretrain_samples",
                      "pretrain_epochs", "probe_pretrain_steps"):
@@ -116,7 +109,7 @@ class RunConfig:
 
     @property
     def lambda_start(self) -> float:
-        return float(np.log(self.m)) if self.lambda_init is None else self.lambda_init
+        return float(np.log(self.m))  # the score of the uniform posterior
 
     @property
     def updates_threshold(self) -> bool:
@@ -238,7 +231,7 @@ def init_state(cfg: RunConfig, seed: int) -> RunState:
         theta=theta,
         models=models,
         lam=lam,
-        basis=probe.BASES[cfg.basis],
+        basis=probe.BASES["hadamard"],
         grid=probe.phase_grid(cfg.m),
         rng=rng,
     )

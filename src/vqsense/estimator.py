@@ -177,11 +177,15 @@ class SequentialPhaseEstimator:
 
     def _checked_shots(self, shots: np.ndarray, ndims: tuple = (1,)) -> np.ndarray:
         """shots as a nonempty int64 array of one of the allowed ndims, every
-        outcome in range; a ragged block raises like any other bad input."""
+        outcome in range; a ragged block, or floats, bools or text, which a
+        cast would truncate or parse, raise like any other bad input."""
         try:
-            shots = np.asarray(shots, dtype=np.int64)
+            shots = np.asarray(shots)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"shots are not an integer array: {exc}") from exc
+        if shots.dtype.kind not in "iu":
+            raise ConfigurationError(f"shots must be integers, got dtype {shots.dtype}")
+        shots = shots.astype(np.int64, copy=False)
         if shots.ndim not in ndims or shots.size == 0:
             raise ConfigurationError(
                 f"shots must be a nonempty integer array with ndim in {ndims}"
@@ -200,11 +204,13 @@ class SequentialPhaseEstimator:
         self, rng: np.random.Generator | None, passes: tuple = ()
     ) -> np.ndarray | None:
         """Inverted-dropout masks of shape passes + (2, H), layer 0's then
-        layer 1's for each pass in turn, or None unless dropout is on and an
-        rng is given. One draw for P passes takes the same numbers as P
-        draws for one pass each."""
-        if self.dropout <= 0 or rng is None:
+        layer 1's for each pass in turn, or None when dropout is off; a
+        dropout model needs an rng. One draw for P passes takes the same
+        numbers as P draws for one pass each."""
+        if self.dropout <= 0:
             return None
+        if rng is None:
+            raise ConfigurationError(f"dropout {self.dropout} needs an rng for its masks")
         keep = 1.0 - self.dropout
         return (rng.random((*passes, 2, self.hidden)) < keep) / keep
 
@@ -239,12 +245,6 @@ class SequentialPhaseEstimator:
             masks = masks.reshape(n_seq, -1, 2, self.hidden)
         logits = self._run_block(shots.reshape(n_seq, -1), masks)
         return _posterior(logits).T.reshape(*lead, self.n_levels), None
-
-    def nll(self, shots: np.ndarray, x_index: int) -> float:
-        """Cross-entropy of the true label (no floor); target of train_step."""
-        self._check_label(x_index)
-        logits, _, _ = self._run(self._checked_shots(shots))
-        return float(-np.log(_softmax(logits)[x_index]))
 
     def loss_grads(
         self, shots: np.ndarray, x_index: int, masks=None, run=None

@@ -37,7 +37,7 @@ FIELD_TEXT = {
     "tau": "0.7", "eta": "0.4", "eta_theta": "0.002", "schedule": "decay", "mode": "static",
     "loss_kind": "distance", "seed": "9", "trials": "2", "hidden_size": "8", "lr": "0.01",
     "l2": "0.001", "decay": "0.5", "decay_every": "20", "dropout": "0.2", "ensemble": "2",
-    "dropout_passes": "3", "basis": "computational", "lambda_init": "1.5",
+    "dropout_passes": "3",
     "pretrain_samples": "0", "pretrain_epochs": "3", "pretrain_lr": "0.01",
     "probe_pretrain_steps": "2", "phase_process": "drift",
 }
@@ -159,6 +159,17 @@ class TestExitCodes:
         assert not out.exists()
         assert "twice.cfg:2: 'alpha' already set on line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["lambda_init = 1.5", "basis = computational"],
+                             ids=["lambda_init", "basis"])
+    def test_removed_key_exits_2_no_artifacts(self, line, tmp_path, capsys):
+        """lambda_1 is always log m and the readout always Hadamard: no key sets them."""
+        path = tmp_path / "old.cfg"
+        path.write_text(FAST_CONFIG + line + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "unknown key" in capsys.readouterr().err
+
     @pytest.mark.parametrize("where", ["file", "below-file", "env"])
     @pytest.mark.parametrize(
         "command", [["run"], ["bench"], ["bayesian", "ensemble"], ["pretrain"]],
@@ -181,8 +192,11 @@ class TestExitCodes:
         "argv",
         [["bench", "--mode", "static"], ["bayesian", "ensemble", "--ensemble", "2"],
          # whole flag names only, or this would set dropout_passes
-         ["bayesian", "dropout", "--dropout", "3"]],
-        ids=["bench-mode", "bayesian-ensemble", "bayesian-dropout"],
+         ["bayesian", "dropout", "--dropout", "3"],
+         # lambda_1 = log m and the Hadamard readout are constants, not fields
+         ["run", "--lambda-init", "1.5"], ["run", "--basis", "computational"]],
+        ids=["bench-mode", "bayesian-ensemble", "bayesian-dropout", "run-lambda-init",
+             "run-basis"],
     )
     def test_flag_of_a_fixed_field_exits_2(self, argv, fast_cfg_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -67,11 +67,11 @@ class TestRunConfig:
         "field,value",
         [
             ("n", 1), ("n", 13), ("m", 1), ("eta", -1.0), ("tau", 0.0),
-            ("eta_theta", -0.5), ("schedule", "nope"), ("basis", "nope"),
+            ("eta_theta", -0.5), ("schedule", "nope"),
             ("loss_kind", "nope"), ("phase_process", "nope"), ("dropout", 1.5),
             ("dropout", -0.1), ("ensemble", 0), ("dropout_passes", 0),
             ("decay_every", 0), ("decay", 0.0), ("lr", -1.0), ("pretrain_lr", -1.0),
-            ("l2", -1.0), ("seed", -1), ("lambda_init", float("nan")),
+            ("l2", -1.0), ("seed", -1),
             ("pretrain_samples", -1), ("pretrain_epochs", -1),
             ("probe_pretrain_steps", -1), ("eta", float("inf")), ("tau", float("inf")),
             ("lr", float("inf")), ("eta_theta", float("inf")), ("l2", float("inf")),
@@ -179,10 +179,10 @@ class TestSenseStep:
 
 
 class TestDistributionCache:
-    def fresh(self, angles, x_value, cfg):
+    def fresh(self, angles, x_value, state):
         probe._states_for.cache_clear()
         return probe.measurement_distribution(
-            probe.ProbeParams(angles), x_value, probe.BASES[cfg.basis], cfg.n
+            probe.ProbeParams(angles), x_value, state.basis, state.cfg.n
         )
 
     @pytest.mark.parametrize("mode", engine.MODES)
@@ -202,7 +202,7 @@ class TestDistributionCache:
             x_index = int(state.rng.integers(cfg.m))
             angles = state.theta.angles.copy()
             sense_step(state, x_index)
-            want = self.fresh(angles, state.grid[x_index], cfg)
+            want = self.fresh(angles, state.grid[x_index], state)
             assert sampled[-1].tobytes() == want.tobytes()
         assert len(sampled) == cfg.horizon
 
@@ -229,11 +229,11 @@ class TestDistributionCache:
             first[0] = 0.5  # shared by every step at these angles
         state.theta.angles[0, 1] += 0.4  # an in-place edit counts as a change
         moved = state.distribution(2)
-        assert moved.tobytes() == self.fresh(state.theta.angles, state.grid[2], cfg).tobytes()
+        assert moved.tobytes() == self.fresh(state.theta.angles, state.grid[2], state).tobytes()
         assert moved.tobytes() != first.tobytes()
         state.theta = probe.ProbeParams.random(cfg.layers, np.random.default_rng(9))
         assert state.distribution(2).tobytes() == self.fresh(
-            state.theta.angles, state.grid[2], cfg
+            state.theta.angles, state.grid[2], state
         ).tobytes()
 
 
@@ -384,10 +384,13 @@ class TestProbeGradStep:
         np.testing.assert_allclose(state.theta.flat(), before, atol=1e-15)
 
     def test_all_shots_degenerate_flags(self):
-        state = grad_state(probe.ProbeParams(np.zeros((2, 4))), basis="computational")
-        # outcome 3 has probability 0 under the all-zero-angle probe
-        assert probe_grad_step(state, 2, np.array([3, 3]), 2.0)
-        np.testing.assert_array_equal(state.theta.flat(), np.zeros(8))
+        # |++> with a ZZ phase, read in the Hadamard basis at grid phase 0:
+        # outcomes 1 and 2 have probability 0 (about 1e-32)
+        theta = probe.ProbeParams([[0.0, np.pi / 2, 0.0, 0.3]])
+        state = grad_state(theta)
+        assert state.distribution(0)[[1, 2]].max() <= probe.PROB_FLOOR
+        assert probe_grad_step(state, 0, np.array([1, 2]), 2.0)
+        np.testing.assert_array_equal(state.theta.flat(), theta.flat())
 
     def test_zero_probability_shot_flagged_and_ignored(self):
         # |++> with a ZZ phase g, read in the Hadamard basis at x = 0, gives
@@ -439,7 +442,7 @@ class TestPretrainRun:
         state = init_state(cfg, 3)
         dataset = pretrain_run(state)
         mean_ce = np.mean(
-            [state.models[0].nll(s, xi) for s, xi in dataset]
+            [state.models[0].loss_grads(s, xi)[0] for s, xi in dataset]
         )
         assert mean_ce < np.log(cfg.m)
 

@@ -44,14 +44,38 @@ class TestForward:
         np.testing.assert_array_equal(model.forward(shots)[0], model.forward(shots)[0])
 
 
+class TestShotDtype:
+    @pytest.mark.parametrize(
+        "shots",
+        [np.array([0.5, 1.9, 3.2]), np.array([0.0, 1.0]), [1.0, 2.0],
+         np.array([True, False]), np.array(["1", "2"])],
+        ids=["fractional", "whole-floats", "float-list", "bool", "text"],
+    )
+    @pytest.mark.parametrize("call", ["forward", "loss_grads", "train_step"])
+    def test_non_integer_shots_rejected(self, call, shots):
+        """A cast would truncate floats to other outcomes and parse text."""
+        model = make_model(perturb=0.2)
+        args = {"forward": (), "loss_grads": (3,), "train_step": (3, 1e-2, 1e-4)}[call]
+        before = model.weights.tobytes()
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            getattr(model, call)(shots, *args)
+        assert model.weights.tobytes() == before
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64])
+    def test_other_integer_dtypes_accepted(self, dtype):
+        model = make_model(perturb=0.2)
+        shots = np.array([0, 3, 1, 3])
+        want = model.forward(shots)[0]
+        assert model.forward(shots.astype(dtype))[0].tobytes() == want.tobytes()
+        assert model.forward([0, 3, 1, 3])[0].tobytes() == want.tobytes()
+
+
 class TestLabelRange:
     @pytest.mark.parametrize("x_index", [-1, 10])
     def test_out_of_range_rejected(self, rng, x_index):
         model = make_model(perturb=0.2)
         shots = rng.integers(4, size=5)
         before = model.weights.tobytes()
-        with pytest.raises(ConfigurationError):
-            model.nll(shots, x_index)
         with pytest.raises(ConfigurationError):
             model.loss_grads(shots, x_index)
         with pytest.raises(ConfigurationError):
@@ -71,10 +95,10 @@ class TestScore:
     def test_scores_vector_matches_scalar(self, rng):
         model = make_model(perturb=0.4)
         shots = rng.integers(4, size=8)
-        # no entry is near the floor, so each score is that label's nll
+        # no entry is near the floor, so each score is that label's cross-entropy
         scores = -np.log(model.forward(shots)[0])
         for i in range(10):
-            assert abs(scores[i] - model.nll(shots, i)) < 1e-12
+            assert abs(scores[i] - model.loss_grads(shots, i)[0]) < 1e-12
 
 
 def reference_loss_grads(model, shots, x_index, masks=None):
@@ -158,10 +182,10 @@ class TestBackprop:
             w = base.copy()
             w[k] += h
             model.set_weights(w)
-            fp = model.nll(shots, x_index)
+            fp = model.loss_grads(shots, x_index)[0]
             w[k] -= 2 * h
             model.set_weights(w)
-            fm = model.nll(shots, x_index)
+            fm = model.loss_grads(shots, x_index)[0]
             numeric = (fp - fm) / (2 * h)
             assert abs(flat[k] - numeric) / max(abs(numeric), 1e-8) <= 1e-4
         model.set_weights(base)
@@ -225,9 +249,25 @@ class TestDropoutMasks:
         per_layer = [(rng.random(8) < keep).astype(float) / keep for _ in range(6)]
         assert at_once.reshape(6, 8).tobytes() == np.stack(per_layer).tobytes()
 
-    def test_none_without_dropout_or_rng(self):
+    def test_none_without_dropout(self):
         assert make_model().dropout_masks(np.random.default_rng(0), (4,)) is None
-        assert make_model(dropout=0.4).dropout_masks(None) is None
+        assert make_model().dropout_masks(None) is None
+
+    def test_dropout_without_rng_rejected(self):
+        with pytest.raises(ConfigurationError, match="needs an rng"):
+            make_model(dropout=0.4).dropout_masks(None)
+
+    @pytest.mark.parametrize("call", ["train_step", "fit"])
+    def test_training_without_rng_rejected(self, call, rng):
+        """A dropout model given no rng would otherwise train with no masks."""
+        model = make_model(dropout=0.4, perturb=0.2)
+        shots, before = rng.integers(4, size=5), model.weights.tobytes()
+        with pytest.raises(ConfigurationError, match="needs an rng"):
+            if call == "fit":
+                model.fit([(shots, 3)], 1e-2, 1e-4, epochs=1)
+            else:
+                model.train_step(shots, 3, 1e-2, 1e-4)
+        assert model.weights.tobytes() == before
 
 
 class TestTrainStep:
@@ -245,9 +285,9 @@ class TestTrainStep:
     def test_single_step_decreases_loss(self, rng):
         model = make_model(perturb=0.2)
         shots = rng.integers(4, size=8)
-        before = model.nll(shots, 3)
+        before = model.loss_grads(shots, 3)[0]
         model.train_step(shots, 3, 1e-3, 0.0)
-        assert model.nll(shots, 3) < before
+        assert model.loss_grads(shots, 3)[0] < before
 
     def test_decay_schedule(self, rng):
         # engine.sense_step decays the rate; the step train_step takes must
@@ -371,7 +411,7 @@ class TestFit:
             )
             dataset.append((shots, xi))
         model.fit(dataset, 0.02, 1e-4, epochs=100)
-        mean_ce = np.mean([model.nll(s, xi) for s, xi in dataset])
+        mean_ce = np.mean([model.loss_grads(s, xi)[0] for s, xi in dataset])
         assert mean_ce < np.log(10)
 
     def test_empty_dataset_rejected(self):
