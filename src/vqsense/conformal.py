@@ -3,8 +3,9 @@
 The estimation set at threshold lam collects every grid phase whose score
 is <= lam (boundary included). The threshold evolves by
 lam <- lam + eta_t * (loss - alpha), which telescopes to an exact identity
-on the running loss and yields the deterministic long-run bound implemented
-in risk_bound(). Every function here is pure: the threshold is one float
+on the running loss. risk_bound() turns that identity into a long-run bound
+under an assumption on the range of lam that the -log-posterior scores can
+break (see risk_bound). Every function here is pure: the threshold is one float
 that the caller keeps (engine.RunState.lam), and eta, alpha, the schedule
 and l_max are passed in from its RunConfig.
 """
@@ -80,11 +81,15 @@ def soft_set_size(scores: np.ndarray, lam: float, tau: float) -> float:
 def risk_bound(
     horizon: int, eta: float, schedule: str = "constant", l_max: float = 1.0
 ) -> float:
-    """Deterministic bound on (average loss - alpha) after `horizon` steps.
+    """Bound on (average loss - alpha) after `horizon` steps, assuming lam
+    stays in a band of width l_max + eta.
 
     Constant schedule: the telescoped step-size sequence sums to 1/eta, so
     the bound is (l_max + eta) / (horizon * eta). Decaying eta/sqrt(t): the
     sum telescopes to sqrt(T)/eta. Either way the largest step size is eta.
+    The band assumption fails once -log-posterior scores exceed l_max, since
+    lam can then climb past l_max before the set fills, so the value is not
+    a guarantee for every run (ROADMAP item 1 gives the score-aware bound).
     """
     if horizon < 1:
         raise ConfigurationError("horizon must be >= 1")

@@ -145,7 +145,6 @@ class RunState:
     theta: probe.ProbeParams
     models: list[SequentialPhaseEstimator]
     lam: float  # the threshold; set by init_state, updated by sense_step
-    basis: np.ndarray  # readout unitary, an entry of probe.BASES
     grid: np.ndarray
     rng: np.random.Generator
     # sum and count of the soft set sizes G: probe_grad_step's baseline
@@ -170,9 +169,7 @@ class RunState:
             self._dist_key = key
         dist = self._dists.get(x_index)
         if dist is None:
-            dist = probe.measurement_distribution(
-                self.theta, self.grid[x_index], self.basis, self.cfg.n
-            )
+            dist = probe.measurement_distribution(self.theta, self.grid[x_index], self.cfg.n)
             dist.setflags(write=False)
             self._dists[x_index] = dist
         return dist
@@ -231,7 +228,6 @@ def init_state(cfg: RunConfig, seed: int) -> RunState:
         theta=theta,
         models=models,
         lam=lam,
-        basis=probe.BASES["hadamard"],
         grid=probe.phase_grid(cfg.m),
         rng=rng,
     )
@@ -296,8 +292,7 @@ def probe_grad_step(state: RunState, x_index: int, shots: np.ndarray, g_value: f
     if not usable:
         return True
     grad_logp = probe.log_prob_grad(
-        state.theta, state.grid[x_index], state.basis, cfg.n,
-        np.bincount(usable, minlength=2**cfg.n),
+        state.theta, state.grid[x_index], cfg.n, np.bincount(usable, minlength=2**cfg.n)
     )
     ghat = (g_value - baseline) * grad_logp
     if not np.all(np.isfinite(ghat)):

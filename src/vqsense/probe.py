@@ -5,8 +5,8 @@ general single-qubit rotation Rz(a) Ry(b) Rz(c) to every qubit, followed by
 a shared two-qubit ZZ rotation exp(-i g Z.Z / 2) on the ring of successive
 pairs (0,1), (1,2), ..., (n-1,0). The unknown phase enters as a local
 rotation diag(1, e^{ix}) on every qubit, so amplitude s picks up the phase
-e^{i x popcount(s)}. A fixed single-qubit basis change (Hadamard by default)
-is applied to every qubit before computational-basis readout; without it
+e^{i x popcount(s)}. A Hadamard on every qubit is applied before
+computational-basis readout, so the probe is read in the X basis; without it
 the diagonal phase channel would be invisible to the measurement.
 """
 from __future__ import annotations
@@ -34,11 +34,8 @@ def ry_matrix(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-# Readout basis changes, applied to every qubit before computational readout.
-BASES = {
-    "hadamard": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "computational": np.eye(2, dtype=complex),
-}
+# The readout basis change, applied to every qubit before computational readout.
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 @dataclass
@@ -160,22 +157,15 @@ def prepare_probe(theta: ProbeParams, n: int) -> np.ndarray:
     return _layer_states(theta, n)[-1]
 
 
-def _readout_amplitudes(
-    amps: np.ndarray, x: float, basis: np.ndarray, n: int
-) -> np.ndarray:
-    """Probe amplitudes -> phase channel -> basis change on every qubit."""
+def _readout_amplitudes(amps: np.ndarray, x: float, n: int) -> np.ndarray:
+    """Probe amplitudes -> phase channel -> Hadamard on every qubit."""
     amps = amps * np.exp(1j * x * _bit_tables(n)[0])
-    return _apply_all(amps, n, basis)
+    return _apply_all(amps, n, HADAMARD)
 
 
-def measurement_distribution(
-    theta: ProbeParams, x: float, basis: np.ndarray, n: int
-) -> np.ndarray:
-    """Outcome distribution of probe -> phase channel -> basis change -> readout.
-
-    `basis` is a 2x2 unitary, an entry of BASES, applied to every qubit.
-    """
-    return np.abs(_readout_amplitudes(prepare_probe(theta, n), x, basis, n)) ** 2
+def measurement_distribution(theta: ProbeParams, x: float, n: int) -> np.ndarray:
+    """Outcome distribution of probe -> phase channel -> Hadamards -> readout."""
+    return np.abs(_readout_amplitudes(prepare_probe(theta, n), x, n)) ** 2
 
 
 def sample_shots(dist: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
@@ -192,13 +182,7 @@ def sample_shots(dist: np.ndarray, shots: int, rng: np.random.Generator) -> np.n
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
-def log_prob_grad_table(
-    theta: ProbeParams,
-    x: float,
-    basis: np.ndarray,
-    n: int,
-    h: float = 1e-5,
-) -> np.ndarray:
+def log_prob_grad_table(theta: ProbeParams, x: float, n: int, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradients of log p(s|x) w.r.t. every probe angle.
 
     Returns a (2**n, n_params) table. Row s is meaningful only where
@@ -212,21 +196,15 @@ def log_prob_grad_table(
         plus[k] += h
         minus = flat.copy()
         minus[k] -= h
-        p_plus = measurement_distribution(ProbeParams.from_flat(plus), x, basis, n)
-        p_minus = measurement_distribution(ProbeParams.from_flat(minus), x, basis, n)
+        p_plus = measurement_distribution(ProbeParams.from_flat(plus), x, n)
+        p_minus = measurement_distribution(ProbeParams.from_flat(minus), x, n)
         safe_p = np.maximum(p_plus, 1e-300)
         safe_m = np.maximum(p_minus, 1e-300)
         grads[:, k] = (np.log(safe_p) - np.log(safe_m)) / (2 * h)
     return grads
 
 
-def log_prob_grad(
-    theta: ProbeParams,
-    x: float,
-    basis: np.ndarray,
-    n: int,
-    counts: np.ndarray,
-) -> np.ndarray:
+def log_prob_grad(theta: ProbeParams, x: float, n: int, counts: np.ndarray) -> np.ndarray:
     """Exact gradient of sum_s counts[s] * log p(s|x) w.r.t. the flat angles.
 
     Adjoint differentiation (Jones & Gacon 2020, arXiv 2009.02823): one
@@ -248,11 +226,11 @@ def log_prob_grad(
     popcount, ring = _bit_tables(n)
     flip, sign = _y_tables(n)
     z = n - 2 * popcount
-    omega = _readout_amplitudes(states[-1], x, basis, n)
+    omega = _readout_amplitudes(states[-1], x, n)
     lam = np.divide(
         counts * omega, np.abs(omega) ** 2, out=np.zeros_like(omega), where=counts != 0
     )
-    lam = _apply_all(lam, n, basis.conj().T)
+    lam = _apply_all(lam, n, HADAMARD.conj().T)
     lam = lam * np.exp(-1j * x * popcount)
     grads = np.zeros_like(theta.angles)
     for k in reversed(range(len(theta.angles))):

@@ -12,7 +12,7 @@ import pytest
 
 from vqsense import checks, cli, conformal, probe
 from vqsense.engine import RunConfig, aggregate, run_trial, trial_seed
-from vqsense.probe import BASES, ProbeParams, phase_grid
+from vqsense.probe import HADAMARD, ProbeParams, phase_grid
 
 import conftest
 from conftest import dense_embed, random_unitary, zero_state
@@ -145,7 +145,7 @@ class TestCriterion5SimulatorOracles:
         theta = ProbeParams([[0.0, np.pi / 2, 0.0, 0.0]])
         worst = 0.0
         for x in phase_grid(10):
-            dist = probe.measurement_distribution(theta, x, BASES["hadamard"], 2)
+            dist = probe.measurement_distribution(theta, x, 2)
             worst = max(worst, abs(dist[0] - np.cos(x / 2) ** 4))
         ok = worst < 1e-10
         assert _verdict(
@@ -172,8 +172,8 @@ class TestCriterion5SimulatorOracles:
             x = rng.uniform(0, np.pi)
             amps = probe_state_oracle(theta, n)
             worst = max(worst, np.max(np.abs(probe.prepare_probe(theta, n) - amps)))
-            dist = probe.measurement_distribution(theta, x, BASES["hadamard"], n)
-            oracle = distribution_oracle(theta, x, BASES["hadamard"], n)
+            dist = probe.measurement_distribution(theta, x, n)
+            oracle = distribution_oracle(theta, x, HADAMARD, n)
             worst = max(worst, np.max(np.abs(dist - oracle)))
         ok = worst < 1e-10
         assert _verdict(5, "dense-matrix circuit oracle", ok, f"max_err={worst:.3e}")
@@ -181,7 +181,7 @@ class TestCriterion5SimulatorOracles:
     def test_sampling_tv_distance(self):
         rng = np.random.default_rng(11)
         theta = ProbeParams.random(4, rng)
-        dist = probe.measurement_distribution(theta, 1.1, BASES["hadamard"], 4)
+        dist = probe.measurement_distribution(theta, 1.1, 4)
         shots = probe.sample_shots(dist, 100_000, np.random.default_rng(3))
         freqs = np.bincount(shots, minlength=dist.size) / shots.size
         tv = 0.5 * np.sum(np.abs(freqs - dist))

@@ -181,9 +181,7 @@ class TestSenseStep:
 class TestDistributionCache:
     def fresh(self, angles, x_value, state):
         probe._states_for.cache_clear()
-        return probe.measurement_distribution(
-            probe.ProbeParams(angles), x_value, state.basis, state.cfg.n
-        )
+        return probe.measurement_distribution(probe.ProbeParams(angles), x_value, state.cfg.n)
 
     @pytest.mark.parametrize("mode", engine.MODES)
     def test_every_step_matches_fresh_simulation(self, mode, monkeypatch):
@@ -410,7 +408,7 @@ class TestProbeGradStep:
         dist = state.distribution(1)
         shots = np.argsort(dist)[::-1][[0, 0, 1]]  # the likeliest outcome twice
         assert not probe_grad_step(state, 1, shots, 2.5)
-        table = probe.log_prob_grad_table(theta, state.grid[1], state.basis, 3)
+        table = probe.log_prob_grad_table(theta, state.grid[1], 3)
         expected = theta.flat() - 0.5 * 1.5 * table[shots].sum(axis=0)
         out = state.theta.flat()
         assert np.max(np.abs(out - theta.flat())) > 1e-3

@@ -3,10 +3,10 @@
 tests/golden/trials.json holds one short trial per run mode, plus a dynamic
 and a static-probe-estimator trial with MC dropout, each with pretraining on at
 a reduced budget, a dynamic trial with no pretraining (pretrain_samples = 0),
-one with the decaying step size and the distance loss, and one whose phase
-drifts. A change that keeps RNG use and float order reproduces it exactly; the
-check allows a relative 1e-9 on floats and requires ints and bools to match
-exactly.
+one with the decaying step size and the distance loss, one whose phase
+drifts, and a dynamic trial with a two-member ensemble. A change that keeps
+RNG use and float order reproduces it exactly; the check allows a relative
+1e-9 on floats and requires ints and bools to match exactly.
 
 Regenerate the fixture (only when a change is meant to alter behaviour):
 
@@ -36,6 +36,7 @@ CASES["static-probe-estimator-dropout"] = dict(
 )
 CASES["dynamic-decay-distance"] = dict(SMALL, schedule="decay", loss_kind="distance")
 CASES["dynamic-drift"] = dict(SMALL, phase_process="drift")
+CASES["dynamic-ensemble"] = dict(SMALL, ensemble=2)
 SEED = 17
 TRACED = ("x_index", "shots", "scores", "lam_before", "set_mask", "loss")
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from vqsense import probe
 from vqsense.engine import RunConfig
-from vqsense.probe import BASES, ConfigurationError, ProbeParams, phase_grid
+from vqsense.probe import HADAMARD, ConfigurationError, ProbeParams, phase_grid
 
 from conftest import dense_embed, random_state, random_unitary, zero_state
 
@@ -109,8 +109,8 @@ class TestPhaseChannel:
         theta = ProbeParams.random(2, rng)
         amps = probe.prepare_probe(theta, 2)
         for q in range(2):
-            amps = dense_embed(2, BASES["hadamard"], (q,)) @ amps
-        dist = probe.measurement_distribution(theta, 0.0, BASES["hadamard"], 2)
+            amps = dense_embed(2, HADAMARD, (q,)) @ amps
+        dist = probe.measurement_distribution(theta, 0.0, 2)
         np.testing.assert_allclose(dist, np.abs(amps) ** 2, atol=1e-12)
 
     def test_basis_state_phase(self, rng):
@@ -119,17 +119,9 @@ class TestPhaseChannel:
         for n in (2, 3):
             theta = ProbeParams.random(2, rng)
             for x in (0.7, 2.9):
-                dist = probe.measurement_distribution(theta, x, BASES["hadamard"], n)
-                oracle = distribution_oracle(theta, x, BASES["hadamard"], n)
+                dist = probe.measurement_distribution(theta, x, n)
+                oracle = distribution_oracle(theta, x, HADAMARD, n)
                 np.testing.assert_allclose(dist, oracle, atol=1e-12)
-
-    def test_probabilities_unchanged(self, rng):
-        # a diagonal channel cannot move computational-basis probabilities
-        theta = ProbeParams.random(2, rng)
-        probs = np.abs(probe.prepare_probe(theta, 3)) ** 2
-        for x in phase_grid(10):
-            dist = probe.measurement_distribution(theta, x, BASES["computational"], 3)
-            np.testing.assert_allclose(dist, probs, atol=1e-12)
 
 
 class TestMeasurementDistribution:
@@ -139,35 +131,26 @@ class TestMeasurementDistribution:
         # P(0) = cos^2(x/2), so P(00) = cos^4(x/2)
         theta = ProbeParams([[0.0, np.pi / 2, 0.0, 0.0]])
         for x in phase_grid(10):
-            dist = probe.measurement_distribution(theta, x, BASES["hadamard"], 2)
+            dist = probe.measurement_distribution(theta, x, 2)
             assert abs(dist[0] - np.cos(x / 2) ** 4) < 1e-10
-
-    def test_computational_basis_blind_to_phase(self, rng):
-        theta = ProbeParams.random(2, rng)
-        basis = BASES["computational"]
-        ref = probe.measurement_distribution(theta, 0.0, basis, 2)
-        for x in phase_grid(5):
-            dist = probe.measurement_distribution(theta, x, basis, 2)
-            np.testing.assert_allclose(dist, ref, atol=1e-12)
 
     def test_deterministic(self, rng):
         theta = ProbeParams.random(2, rng)
-        basis = BASES["hadamard"]
-        a = probe.measurement_distribution(theta, 0.3, basis, 3)
-        b = probe.measurement_distribution(theta, 0.3, basis, 3)
+        a = probe.measurement_distribution(theta, 0.3, 3)
+        b = probe.measurement_distribution(theta, 0.3, 3)
         np.testing.assert_array_equal(a, b)
 
     def test_valid_distribution(self, rng):
         for _ in range(10):
             theta = ProbeParams.random(4, rng)
             x = rng.uniform(0, np.pi)
-            dist = probe.measurement_distribution(theta, x, BASES["hadamard"], 4)
+            dist = probe.measurement_distribution(theta, x, 4)
             assert np.all(dist >= -1e-15)
             assert abs(dist.sum() - 1.0) < 1e-10
 
     def test_cyclic_shift_invariant_outcomes_n4(self, rng):
         theta = ProbeParams.random(4, rng)
-        dist = probe.measurement_distribution(theta, 0.9, BASES["hadamard"], 4)
+        dist = probe.measurement_distribution(theta, 0.9, 4)
         n = 4
         shifted = np.empty_like(dist)
         for s in range(2**n):
@@ -179,18 +162,17 @@ class TestMeasurementDistribution:
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.sampled_from([3, 4, 5, 8]),
-        basis=st.sampled_from(sorted(BASES)),
         layers=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
         x=st.floats(0.0, 2 * np.pi),
     )
-    def test_dihedral_invariance(self, n, basis, layers, seed, x):
+    def test_dihedral_invariance(self, n, layers, seed, x):
         # every gate is shared by all qubits and the ZZ gates sit on a ring,
         # so relabeling the qubits by any element of D_n leaves p(s | x), and
         # the prepared probe's own outcome probabilities, as they are
         theta = ProbeParams.random(layers, np.random.default_rng(seed))
         dists = (
-            probe.measurement_distribution(theta, x, BASES[basis], n),
+            probe.measurement_distribution(theta, x, n),
             np.abs(probe.prepare_probe(theta, n)) ** 2,
         )
         images = list(dihedral_images(n))
@@ -240,32 +222,32 @@ class TestSampleShots:
 class TestLayerStateMemo:
     """_layer_states keeps one angle set's states, keyed on the angles' bytes."""
 
-    def fresh(self, theta, x, basis, n, counts):
+    def fresh(self, theta, x, n, counts):
         probe._states_for.cache_clear()
         theta = ProbeParams(theta.angles.copy())
         return (
-            probe.measurement_distribution(theta, x, basis, n),
-            probe.log_prob_grad(theta, x, basis, n, counts),
+            probe.measurement_distribution(theta, x, n),
+            probe.log_prob_grad(theta, x, n, counts),
         )
 
     def test_in_place_edit_recomputes(self, rng):
         theta = ProbeParams.random(3, rng)
-        basis, counts = BASES["hadamard"], np.array([2, 0, 1, 0, 0, 3, 0, 1])
-        probe.measurement_distribution(theta, 0.6, basis, 3)  # fills the memo
+        counts = np.array([2, 0, 1, 0, 0, 3, 0, 1])
+        probe.measurement_distribution(theta, 0.6, 3)  # fills the memo
         theta.angles[1, 2] += 0.3
-        dist = probe.measurement_distribution(theta, 0.6, basis, 3)
-        grad = probe.log_prob_grad(theta, 0.6, basis, 3, counts)
-        want_dist, want_grad = self.fresh(theta, 0.6, basis, 3, counts)
+        dist = probe.measurement_distribution(theta, 0.6, 3)
+        grad = probe.log_prob_grad(theta, 0.6, 3, counts)
+        want_dist, want_grad = self.fresh(theta, 0.6, 3, counts)
         assert dist.tobytes() == want_dist.tobytes()
         assert grad.tobytes() == want_grad.tobytes()
-        np.testing.assert_allclose(dist, distribution_oracle(theta, 0.6, basis, 3), atol=1e-12)
+        np.testing.assert_allclose(dist, distribution_oracle(theta, 0.6, HADAMARD, 3), atol=1e-12)
 
     def test_gradient_after_distribution_matches_fresh(self, rng):
         theta = ProbeParams.random(2, rng)
-        basis, counts = BASES["hadamard"], np.array([1, 0, 2, 0, 0, 0, 4, 1, 0, 0, 0, 0, 1, 0, 0, 1])
-        probe.measurement_distribution(theta, 1.3, basis, 4)
-        grad = probe.log_prob_grad(theta, 1.3, basis, 4, counts)
-        assert grad.tobytes() == self.fresh(theta, 1.3, basis, 4, counts)[1].tobytes()
+        counts = np.array([1, 0, 2, 0, 0, 0, 4, 1, 0, 0, 0, 0, 1, 0, 0, 1])
+        probe.measurement_distribution(theta, 1.3, 4)
+        grad = probe.log_prob_grad(theta, 1.3, 4, counts)
+        assert grad.tobytes() == self.fresh(theta, 1.3, 4, counts)[1].tobytes()
 
     def test_cached_states_are_read_only(self, rng):
         theta = ProbeParams.random(2, rng)
@@ -284,41 +266,35 @@ class TestLayerStateMemo:
 class TestLogProbGrad:
     def test_two_step_consistency(self, rng):
         theta = ProbeParams.random(2, rng)
-        basis = BASES["hadamard"]
         x = 0.8
-        valid = probe.measurement_distribution(theta, x, basis, 2) > probe.PROB_FLOOR
-        g1 = probe.log_prob_grad_table(theta, x, basis, 2, h=1e-5)
-        g2 = probe.log_prob_grad_table(theta, x, basis, 2, h=1e-7)
+        valid = probe.measurement_distribution(theta, x, 2) > probe.PROB_FLOOR
+        g1 = probe.log_prob_grad_table(theta, x, 2, h=1e-5)
+        g2 = probe.log_prob_grad_table(theta, x, 2, h=1e-7)
         for s in np.flatnonzero(valid):
             for k in range(g1.shape[1]):
                 if abs(g2[s, k]) > 1e-6:
                     assert abs(g1[s, k] - g2[s, k]) / abs(g2[s, k]) <= 1e-3
 
     def test_stationary_coordinate_near_zero(self):
-        # all angles zero, computational basis: p(0) = 1 is stationary
-        theta = ProbeParams(np.zeros((2, 4)))
-        grads = probe.log_prob_grad_table(theta, 0.5, BASES["computational"], 2)
+        # Ry(pi/2) puts both qubits in |+>, which the Hadamard readout at
+        # x = 0 maps to |00>: p(0) = 1 is a maximum, so stationary
+        theta = ProbeParams([[0.0, np.pi / 2, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        grads = probe.log_prob_grad_table(theta, 0.0, 2)
         np.testing.assert_allclose(grads[0], 0.0, atol=1e-6)
-        adjoint = probe.log_prob_grad(
-            theta, 0.5, BASES["computational"], 2, np.array([3, 0, 0, 0])
-        )
+        adjoint = probe.log_prob_grad(theta, 0.0, 2, np.array([3, 0, 0, 0]))
         np.testing.assert_allclose(adjoint, 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("basis_name", sorted(BASES))
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_adjoint_matches_fd_table(self, rng, n, basis_name):
-        basis = BASES[basis_name]
+    def test_adjoint_matches_fd_table(self, rng, n):
         for _ in range(3):
             theta = ProbeParams.random(3, rng)
             x = float(rng.uniform(0, np.pi))
-            dist = probe.measurement_distribution(theta, x, basis, n)
+            dist = probe.measurement_distribution(theta, x, n)
             valid = np.flatnonzero(dist > probe.PROB_FLOOR)
             # more shots than outcomes, so some outcome repeats
             shots = rng.choice(valid, size=2**n + 3)
-            adjoint = probe.log_prob_grad(
-                theta, x, basis, n, np.bincount(shots, minlength=2**n)
-            )
-            numeric = probe.log_prob_grad_table(theta, x, basis, n)[shots].sum(axis=0)
+            adjoint = probe.log_prob_grad(theta, x, n, np.bincount(shots, minlength=2**n))
+            numeric = probe.log_prob_grad_table(theta, x, n)[shots].sum(axis=0)
             np.testing.assert_allclose(
                 adjoint, numeric, rtol=1e-6, atol=1e-6 * np.abs(numeric).max()
             )
@@ -331,24 +307,23 @@ class TestLogProbGrad:
     def test_malformed_counts_rejected(self, rng, counts):
         theta = ProbeParams.random(2, rng)
         with pytest.raises(ConfigurationError):
-            probe.log_prob_grad(theta, 0.7, BASES["hadamard"], 3, counts)
+            probe.log_prob_grad(theta, 0.7, 3, counts)
 
     def test_zero_counts_give_zero(self, rng):
         theta = ProbeParams.random(2, rng)
-        grad = probe.log_prob_grad(theta, 0.7, BASES["hadamard"], 3, np.zeros(8, int))
+        grad = probe.log_prob_grad(theta, 0.7, 3, np.zeros(8, int))
         np.testing.assert_array_equal(grad, np.zeros(8))
 
     def test_additive_in_counts(self, rng):
         theta = ProbeParams.random(3, rng)
-        basis = BASES["hadamard"]
         first, second = rng.integers(0, 4, size=(2, 8))
-        whole = probe.log_prob_grad(theta, 1.1, basis, 3, first + second)
-        parts = sum(probe.log_prob_grad(theta, 1.1, basis, 3, c) for c in (first, second))
+        whole = probe.log_prob_grad(theta, 1.1, 3, first + second)
+        parts = sum(probe.log_prob_grad(theta, 1.1, 3, c) for c in (first, second))
         np.testing.assert_allclose(whole, parts, rtol=1e-12, atol=1e-12 * np.abs(whole).max())
 
 
 # The statevector kernels every probe simulation runs, checked against oracles.
-# probe._apply_all applies the probe's rotations and the readout basis change
+# probe._apply_all applies the probe's rotations and the Hadamard readout
 # to every qubit; here it is driven with gates the probe circuit does not fix
 # (X, identity, random unitaries, a non-unitary matrix) and compared with
 # explicit dense matrices and with the per-qubit tensordot kernel it replaced.
@@ -401,10 +376,12 @@ class TestApplyGate:
         out = probe._apply_all(amps, 3, np.eye(2, dtype=complex))
         np.testing.assert_array_equal(out, amps)
 
-    @pytest.mark.parametrize("name", sorted(BASES))
-    def test_readout_bases_unitary(self, name):
-        # the readout bases are the only gates the probe does not build itself
-        u = BASES[name]
+    @pytest.mark.parametrize(
+        "u", [HADAMARD, HADAMARD.conj().T], ids=["hadamard", "hadamard-inverse"]
+    )
+    def test_readout_bases_unitary(self, u):
+        # the readout and the inverse the adjoint gradient undoes it with are
+        # the only gates the probe does not build itself
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
     def test_norm_preserved_over_long_sequence(self, rng):
@@ -416,23 +393,25 @@ class TestApplyGate:
 
 class TestOutcomeProbabilities:
     def test_zero_state(self):
-        dist = probe.measurement_distribution(NO_LAYERS, 0.4, BASES["computational"], 2)
-        np.testing.assert_array_equal(dist, [1, 0, 0, 0])
+        # Ry(pi/2) puts both qubits in |+>, read in the Hadamard basis at
+        # x = 0 as |00>
+        theta = ProbeParams([[0.0, np.pi / 2, 0.0, 0.0]])
+        dist = probe.measurement_distribution(theta, 0.0, 2)
+        np.testing.assert_allclose(dist, [1, 0, 0, 0], atol=1e-15)
 
     def test_plus_state(self):
         # |00> read in the Hadamard basis: both qubits in |+>
-        dist = probe.measurement_distribution(NO_LAYERS, 0.0, BASES["hadamard"], 2)
+        dist = probe.measurement_distribution(NO_LAYERS, 0.0, 2)
         np.testing.assert_allclose(dist, [0.25] * 4, atol=1e-12)
 
     def test_matches_amps_squared_oracle(self, rng):
         theta = ProbeParams.random(2, rng)
-        basis = BASES["hadamard"]
         phases = np.exp(1j * 0.7 * np.array([bin(s).count("1") for s in range(8)]))
         amps = probe.prepare_probe(theta, 3) * phases
         for q in range(3):
-            amps = dense_embed(3, basis, (q,)) @ amps
+            amps = dense_embed(3, HADAMARD, (q,)) @ amps
         oracle = np.array([abs(a) ** 2 for a in amps])
-        probs = probe.measurement_distribution(theta, 0.7, basis, 3)
+        probs = probe.measurement_distribution(theta, 0.7, 3)
         np.testing.assert_allclose(probs, oracle, atol=1e-12)
         assert abs(probs.sum() - 1.0) < 1e-10
 
@@ -456,7 +435,7 @@ class TestOracleEquivalence:
 
     @pytest.mark.parametrize("n", [2, 4, 8, 12])
     def test_matches_tensordot_reference(self, n, rng):
-        for mat in (random_unitary(rng), BASES["hadamard"], probe.ry_matrix(0.4)):
+        for mat in (random_unitary(rng), HADAMARD, probe.ry_matrix(0.4)):
             psi = random_state(n, rng)
             want = psi
             for q in range(n):
