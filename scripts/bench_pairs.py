@@ -53,6 +53,8 @@ EXTRA_CONFIGS = {
     "decay-distance": "trials = 1\nschedule = decay\nloss_kind = distance\nseed = 3\n",
     "static-pe-decay": "trials = 1\nmode = static-probe-estimator\nschedule = decay\nseed = 3\n",
     "drift": "trials = 1\nphase_process = drift\nseed = 3\n",
+    # no pretraining: only the online path runs
+    "unpretrained": "trials = 1\npretrain_samples = 0\nseed = 3\n",
 }
 # Largest relative score difference a config whose digests differ may show
 # while its shots, sets, thresholds and losses all match.

@@ -18,35 +18,39 @@ from .estimator import SequentialPhaseEstimator
 
 def check_estimator_backprop(seed: int = 0, corrupt: bool = False) -> dict:
     """BPTT gradients vs central finite differences (h = 1e-4) on 50 random
-    coordinates with a nonzero gradient, within a relative 1e-4."""
+    coordinates with a nonzero gradient, within a relative 1e-4: the gradient
+    of one sequence's loss, then the summed gradient of a (3, 8) block with
+    one dropout mask per sequence, as a pretraining step takes it."""
     rng = np.random.default_rng(seed)
-    n_coords, tol = 50, 1e-4
+    n_coords, tol, h = 50, 1e-4, 1e-4
     model = SequentialPhaseEstimator(input_dim=4, n_levels=10, hidden_size=16, seed=seed)
     model.set_weights(model.get_weights() + rng.normal(scale=0.2, size=model.get_weights().size))
-    shots = rng.integers(4, size=8)
-    x_index = int(rng.integers(10))
-    _, flat_grad = model.loss_grads(shots, x_index)
-    if corrupt:
-        flat_grad = flat_grad + 0.05
-
     base = model.get_weights()
-    h = 1e-4
-    candidates = np.flatnonzero(np.abs(flat_grad) > 1e-8)
-    coords = rng.choice(candidates, size=min(n_coords, len(candidates)), replace=False)
-    max_rel = 0.0
-    for k in coords:
-        w = base.copy()
-        w[k] += h
-        model.set_weights(w)
-        f_plus = model.loss_grads(shots, x_index)[0]
-        w = base.copy()
-        w[k] -= h
-        model.set_weights(w)
-        f_minus = model.loss_grads(shots, x_index)[0]
-        numeric = (f_plus - f_minus) / (2 * h)
-        rel = abs(flat_grad[k] - numeric) / max(abs(numeric), 1e-8)
-        max_rel = max(max_rel, rel)
-    model.set_weights(base)
+
+    def max_rel_error(shots, x_index, masks=None) -> float:
+        _, flat_grad = model.loss_grads(shots, x_index, masks)
+        if corrupt:
+            flat_grad = flat_grad + 0.05
+        candidates = np.flatnonzero(np.abs(flat_grad) > 1e-8)
+        coords = rng.choice(candidates, size=min(n_coords, len(candidates)), replace=False)
+        worst = 0.0
+        for k in coords:
+            losses = []
+            for delta in (h, -h):
+                w = base.copy()
+                w[k] += delta
+                model.set_weights(w)
+                losses.append(model.loss_grads(shots, x_index, masks)[0])
+            numeric = (losses[0] - losses[1]) / (2 * h)
+            worst = max(worst, abs(flat_grad[k] - numeric) / max(abs(numeric), 1e-8))
+        model.set_weights(base)
+        return worst
+
+    single = max_rel_error(rng.integers(4, size=8), int(rng.integers(10)))
+    keep = 0.7
+    block = max_rel_error(rng.integers(4, size=(3, 8)), rng.integers(10, size=3),
+                          (rng.random((3, 2, 16)) < keep) / keep)
+    max_rel = max(single, block)
     return {"name": "estimator_backprop", "max_rel_error": max_rel, "tol": tol,
             "passed": bool(max_rel <= tol)}
 

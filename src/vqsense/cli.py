@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -227,7 +228,7 @@ def _run_recorded(out_dir: Path, payload: dict, work: Callable[[], list[Path]]) 
         return 1
     _finalize_manifest(out_dir, payload, paths)
     _log(out_dir, "done")
-    print(f"wrote {len(paths) + 1} artifacts to {out_dir}")
+    _print_out(f"wrote {len(paths) + 1} artifacts to {out_dir}")
     return 0
 
 
@@ -245,7 +246,7 @@ def _run_modes(cfg: RunConfig, modes: list[str], out_dir: Path, payload: dict) -
             curves_by_mode[mode] = aggregate(trials)
         paths.append(write_aggregate_csv(out_dir, "aggregate.csv", curves_by_mode))
         final = curves_by_mode[modes[0]]["mean_coverage"][-1]
-        print(f"final mean coverage ({modes[0]}): {final:.4f}")
+        _print_out(f"final mean coverage ({modes[0]}): {final:.4f}")
         return paths
 
     return _run_recorded(out_dir, payload, work)
@@ -272,13 +273,23 @@ def cmd_bayesian(args: argparse.Namespace) -> int:
     return _run_modes(cfg, [cfg.mode], out_dir, payload)
 
 
+def _print_out(text: str) -> None:
+    """Print a line to stdout. A reader that closes the pipe early (`| head`)
+    does not change the exit code: the rest of the output is dropped."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # later writes, and the flush at exit, go to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {args.seed}")
     results = checks.run_all(seed=args.seed, corrupt=args.corrupt)
     report = {"seed": args.seed, "checks": results,
               "passed": all(r["passed"] for r in results)}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _print_out(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["passed"] else 1
 
 
@@ -318,39 +329,43 @@ def _add_common_flags(p: argparse.ArgumentParser, fixed: Collection[str] = ()) -
             p.add_argument("--" + name.replace("_", "-"), dest=name)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process. argparse leaves a
+    reference cycle behind for every argument it adds, which only a full
+    garbage collection frees, so a process that calls main() once per run
+    would otherwise accumulate about 60 KB of garbage per call."""
     parser = argparse.ArgumentParser(
         prog="vqsense",
         description="Variational quantum sensing with online conformal risk control",
     )
+    # main() calls cmd_<command>
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment in a single mode")
     _add_common_flags(p_run)
-    p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="run all four benchmark modes")
     _add_common_flags(p_bench, fixed=("mode",))
-    p_bench.set_defaults(func=cmd_bench)
 
     p_bayes = sub.add_parser("bayesian", help="run with an ensemble or dropout estimator")
     p_bayes.add_argument("variant", choices=BAYESIAN_VARIANTS)
     _add_common_flags(p_bayes, fixed=set().union(*BAYESIAN_VARIANTS.values()))
-    p_bayes.set_defaults(func=cmd_bayesian)
 
     p_grad = sub.add_parser("gradcheck", help="verify every gradient pathway")
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--corrupt", action="store_true",
                         help="negative control: corrupt gradients and expect failure")
-    p_grad.set_defaults(func=cmd_gradcheck)
 
     p_pre = sub.add_parser("pretrain", help="pretrain and write checkpoints")
     _add_common_flags(p_pre)
-    p_pre.set_defaults(func=cmd_pretrain)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ConfigFileError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

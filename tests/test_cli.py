@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +242,25 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert not report["passed"]
         assert all(not c["passed"] for c in report["checks"])
+
+    @pytest.mark.parametrize("corrupt,want", [(False, 0), (True, 1)])
+    def test_gradcheck_closed_stdout_keeps_exit_code(self, corrupt, want):
+        """A reader that closes the pipe (`vqsense gradcheck | head -c 1`)
+        must not turn a pass into exit 1, nor a failure into another code.
+        The read end is closed before the report is written, so every write
+        meets a broken pipe."""
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vqsense.cli", "gradcheck", "--seed", "0",
+             *(["--corrupt"] if corrupt else [])],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == want, err
+        assert "BrokenPipeError" not in err and "Traceback" not in err
 
 
 class TestRunArtifacts:

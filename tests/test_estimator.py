@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vqsense.conformal import sigmoid
-from vqsense.estimator import EPS, SequentialPhaseEstimator, _softmax
+from vqsense.estimator import BATCH, EPS, SequentialPhaseEstimator, _softmax
 from vqsense.probe import ConfigurationError
 
 
@@ -394,7 +394,79 @@ class TestTrainStep:
         assert np.all(np.isfinite(model.get_weights()))
 
 
+class TestBlockStep:
+    def test_block_update_matches_out_of_place_form(self, rng):
+        """A block step descends the summed loss plus B l2/2 |w|^2."""
+        model = make_model(perturb=0.2)
+        shots, labels, lr, l2 = rng.integers(4, size=(3, 8)), np.array([3, 0, 9]), 3e-3, 1e-2
+        w = model.get_weights()
+        _, g = model.loss_grads(shots, labels)
+        assert model.train_step(shots, labels, lr, l2)
+        assert model.weights.tobytes() == (w - lr * (g + 3 * l2 * w)).tobytes()
+
+    def test_block_draws_one_mask_per_sequence(self, rng):
+        """The step's masks are one (B, 2, H) draw, which is B single draws."""
+        model, twin = make_model(perturb=0.2, dropout=0.4), make_model(perturb=0.2, dropout=0.4)
+        shots, labels = rng.integers(4, size=(4, 6)), np.array([1, 2, 3, 4])
+        masks = model.dropout_masks(np.random.default_rng(9), (4,))
+        _, g = twin.loss_grads(shots, labels, masks)
+        w = model.get_weights()
+        assert model.train_step(shots, labels, 1e-2, 0.0, rng=np.random.default_rng(9))
+        assert model.weights.tobytes() == (w - 1e-2 * g).tobytes()
+
+    @pytest.mark.parametrize("labels", [np.array([1, 2]), np.array([1, 2, 10]),
+                                        np.array([1, -1, 2]), np.array([1.0, 2.0, 3.0]), 3])
+    def test_bad_block_labels_rejected(self, rng, labels):
+        model = make_model(perturb=0.2)
+        with pytest.raises(ConfigurationError, match="phase ind"):
+            model.loss_grads(rng.integers(4, size=(3, 5)), labels)
+
+
 class TestFit:
+    def test_steps_once_per_block(self, rng):
+        """fit is train_step over consecutive blocks of BATCH sequences, the
+        last one shorter, sweep after sweep."""
+        n = 2 * BATCH + 3
+        dataset = [(rng.integers(4, size=6), int(rng.integers(10))) for _ in range(n)]
+        fitted, stepped = make_model(perturb=0.2), make_model(perturb=0.2)
+        fitted.fit(dataset, 0.01, 1e-4, epochs=2)
+        shots, labels = np.array([s for s, _ in dataset]), np.array([x for _, x in dataset])
+        for _ in range(2):
+            for start in range(0, n, BATCH):
+                block = slice(start, start + BATCH)
+                assert stepped.train_step(shots[block], labels[block], 0.01, 1e-4)
+        assert fitted.weights.tobytes() == stepped.weights.tobytes()
+
+    def test_dropout_draws_match_per_sample_draws(self, rng):
+        """fit takes each block's masks in one draw: the rng ends where one
+        (2, H) draw per sequence and epoch would leave it."""
+        n, epochs = BATCH + 7, 3
+        dataset = [(rng.integers(4, size=5), int(rng.integers(10))) for _ in range(n)]
+        model = make_model(perturb=0.2, dropout=0.3)
+        fit_rng, expected = np.random.default_rng(11), np.random.default_rng(11)
+        model.fit(dataset, 0.01, 1e-4, epochs=epochs, rng=fit_rng)
+        for _ in range(n * epochs):
+            expected.random((2, model.hidden))
+        assert fit_rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("label", [10, -1])
+    def test_label_out_of_range_rejected(self, rng, label):
+        model = make_model(perturb=0.2)
+        before = model.weights.tobytes()
+        dataset = [(rng.integers(4, size=5), 3), (rng.integers(4, size=5), label)]
+        with pytest.raises(ConfigurationError, match="out of range"):
+            model.fit(dataset, 1e-2, 1e-4, epochs=1)
+        assert model.weights.tobytes() == before
+
+    def test_ragged_dataset_rejected(self, rng):
+        """Pretraining sequences all have cfg.shots shots; fit needs one length."""
+        model = make_model(perturb=0.2)
+        before = model.weights.tobytes()
+        dataset = [(rng.integers(4, size=5), 3), (rng.integers(4, size=6), 4)]
+        with pytest.raises(ConfigurationError, match="not an integer array"):
+            model.fit(dataset, 1e-2, 1e-4, epochs=1)
+        assert model.weights.tobytes() == before
+
     def test_zero_epochs_no_change(self, rng):
         model = make_model(perturb=0.1)
         before = model.get_weights()

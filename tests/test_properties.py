@@ -1,9 +1,9 @@
 """Property tests: the threshold update's telescoping identity, the
 all-or-ConfigurationError contract of RunConfig validation, under which every
 float field of a config that constructs is a finite real that is not a bool and
-every int field holds an int, and the estimator's batched forward pass, which
+every int field holds an int, the estimator's batched forward pass, which
 scores a block as its sequences alone would be scored or raises
-ConfigurationError."""
+ConfigurationError, and its batched gradient, the sum of its sequences'."""
 import dataclasses
 import math
 import numbers
@@ -110,6 +110,32 @@ def test_batched_forward_matches_each_sequence(seed, n_seq, length, passes):
         want = [model.forward(s)[0] for s in shots]
     assert run is None
     np.testing.assert_allclose(-np.log(got), -np.log(want), rtol=1e-12, atol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n_seq=st.integers(1, 12),
+    length=st.integers(1, 8),
+    hidden=st.integers(1, 24),
+    masked=st.booleans(),
+)
+def test_block_gradient_is_the_sum_of_sequence_gradients(seed, n_seq, length, hidden, masked):
+    """A (B, L) block's loss and gradient are the sums of its sequences' own,
+    each with its own dropout mask, to rtol 1e-12. Entries far below the
+    gradient's largest get an absolute floor, since a sum taken in another
+    order can cancel to ~1e-17."""
+    model = SequentialPhaseEstimator(4, 6, hidden_size=hidden, dropout=0.3, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    model.set_weights(model.weights + rng.normal(scale=0.4, size=model.weights.size))
+    shots, labels = rng.integers(4, size=(n_seq, length)), rng.integers(6, size=n_seq)
+    masks = model.dropout_masks(rng, (n_seq,)) if masked else None
+    loss, grad = model.loss_grads(shots, labels, masks)
+    parts = [model.loss_grads(s, int(x), None if masks is None else masks[b])
+             for b, (s, x) in enumerate(zip(shots, labels))]
+    want = np.sum([g for _, g in parts], axis=0)
+    np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert loss == pytest.approx(sum(lo for lo, _ in parts), rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
