@@ -1,15 +1,15 @@
 """Command-line front end: run, bench, gradcheck, bayesian, pretrain.
 
 Configs are flat key = value text files mirroring RunConfig field names
-("T" is accepted as an alias for horizon); command-line flags override file
-values, which override defaults. Every field a subcommand does not fix has a
---field-name flag whose dest is the field, and file and flag values go through
-the same per-field parser. Every run writes a manifest.json first, then
-per-trial JSONL records and an aggregate CSV, and finally rewrites the manifest
-with artifact checksums. Each file goes through a temp file and os.replace, so
-none is left half-written. Wall-clock timestamps go to a run.log sidecar so
-that every checksummed artifact is byte-reproducible from the config and seed
-alone.
+("T" is accepted as an alias for horizon, "L" for shots); command-line flags
+override file values, which override defaults. Every field a subcommand does
+not fix has a --field-name flag whose dest is the field, and file and flag
+values go through the same per-field parser. Every run writes a manifest.json
+first, then per-trial JSONL records and an aggregate CSV, and finally rewrites
+the manifest with artifact checksums. Each file goes through a temp file and
+os.replace, so none is left half-written. Wall-clock timestamps go to a run.log
+sidecar so that every checksummed artifact is byte-reproducible from the config
+and seed alone.
 """
 from __future__ import annotations
 
@@ -52,17 +52,13 @@ BAYESIAN_VARIANTS = {"ensemble": {"ensemble": 5, "dropout": 0.0},
                      "dropout": {"ensemble": 1, "dropout": 0.4}}
 
 
-class ConfigFileError(ValueError):
-    pass
-
-
 def parse_value(name: str, text: str):
     """Convert the text of a config-file value or flag to its RunConfig field type."""
     kind = FIELD_KINDS.get(_FIELDS[name].type)
     try:
         return text if kind is None else kind[0](text)
     except ValueError as exc:
-        raise ConfigFileError(f"bad value for {name!r}: {exc}") from None
+        raise ConfigurationError(f"bad value for {name!r}: {exc}") from None
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -71,7 +67,7 @@ def parse_config_file(path: str | Path) -> dict:
     try:
         lines = path.read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigFileError(f"cannot read config file {path}: {exc}") from None
+        raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}
     set_on: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -79,19 +75,19 @@ def parse_config_file(path: str | Path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigFileError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip().replace("-", "_").lower()
         key = _CONFIG_ALIASES.get(key, key)
         if key not in _FIELDS:
-            raise ConfigFileError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         if key in set_on:  # an alias counts as its field
-            raise ConfigFileError(f"{path}:{lineno}: {key!r} already set on line {set_on[key]}")
+            raise ConfigurationError(f"{path}:{lineno}: {key!r} already set on line {set_on[key]}")
         set_on[key] = lineno
         try:
             values[key] = parse_value(key, text.strip())
-        except ConfigFileError as exc:
-            raise ConfigFileError(f"{path}:{lineno}: {exc}") from None
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -143,7 +139,7 @@ def write_records(out_dir: Path, name: str, records: list[EpisodeRecord]) -> Pat
     path = out_dir / name
     with _atomic_open(path) as fh:
         for rec in records:
-            fh.write(json.dumps(dataclasses.asdict(rec), sort_keys=True) + "\n")
+            fh.write(json.dumps(vars(rec), sort_keys=True) + "\n")
     return path
 
 
@@ -366,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (ConfigFileError, ConfigurationError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -233,21 +233,10 @@ def init_state(cfg: RunConfig, seed: int) -> RunState:
     )
 
 
-def make_pretrain_dataset(
-    state: RunState, n_samples: int
-) -> list[tuple[np.ndarray, int]]:
-    """(shots, x_index) pairs sampled under the initial probe angles."""
-    cfg = state.cfg
-    dataset = []
-    for _ in range(n_samples):
-        x_index = int(state.rng.integers(cfg.m))
-        shots = probe.sample_shots(state.distribution(x_index), cfg.shots, state.rng)
-        dataset.append((shots, x_index))
-    return dataset
-
-
-def pretrain_run(state: RunState) -> list[tuple[np.ndarray, int]]:
-    """Initialize estimator weights and probe angles from a small dataset.
+def pretrain_run(state: RunState) -> None:
+    """Initialize estimator weights and probe angles from a small dataset:
+    each sample draws a phase index, then its shots under the initial probe
+    angles, into labels (N,) and shots (N, L).
 
     Estimator: repeated cross-entropy sweeps. Probe: a fixed budget of
     score-function steps on the soft set size at the initial threshold,
@@ -258,19 +247,22 @@ def pretrain_run(state: RunState) -> list[tuple[np.ndarray, int]]:
     """
     cfg = state.cfg
     if not cfg.pretrain_samples:
-        return []
-    dataset = make_pretrain_dataset(state, cfg.pretrain_samples)
+        return
+    labels = np.empty(cfg.pretrain_samples, dtype=np.int64)
+    shots = np.empty((cfg.pretrain_samples, cfg.shots), dtype=np.int64)
+    for i in range(cfg.pretrain_samples):
+        labels[i] = state.rng.integers(cfg.m)
+        shots[i] = probe.sample_shots(state.distribution(int(labels[i])), cfg.shots, state.rng)
     for model in state.models:
-        model.fit(dataset, cfg.pretrain_lr, cfg.l2, cfg.pretrain_epochs, rng=state.rng)
+        model.fit(shots, labels, cfg.pretrain_lr, cfg.l2, cfg.pretrain_epochs, rng=state.rng)
 
     for step in range(cfg.probe_pretrain_steps):
-        _, x_index = dataset[step % len(dataset)]
-        shots, masks = state.draw(x_index)
-        scores = -np.log(state.posterior(shots, masks)[0])
+        x_index = int(labels[step % len(labels)])
+        fresh, masks = state.draw(x_index)
+        scores = -np.log(state.posterior(fresh, masks)[0])
         g = conformal.soft_set_size(scores, cfg.lambda_start, cfg.tau)
-        probe_grad_step(state, x_index, shots, g)
+        probe_grad_step(state, x_index, fresh, g)
     state.g_sum, state.g_count = 0.0, 0
-    return dataset
 
 
 def probe_grad_step(state: RunState, x_index: int, shots: np.ndarray, g_value: float) -> bool:

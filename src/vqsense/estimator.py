@@ -53,7 +53,7 @@ class SequentialPhaseEstimator:
 
     Parameters live in one flat vector `weights`, the arrays in _key_order
     laid end to end; `params` maps each key to a reshaped view into it. fit()
-    takes one gradient step per minibatch of BATCH sequences of a dataset;
+    takes one gradient step per minibatch of BATCH rows of shots (N, L);
     train_step() on one sequence is the online update of the sensing loop.
     """
 
@@ -67,6 +67,8 @@ class SequentialPhaseEstimator:
     ):
         if input_dim < 1 or n_levels < 2 or hidden_size < 1:
             raise ConfigurationError("bad estimator dimensions")
+        if not 0 <= dropout < 1:
+            raise ConfigurationError(f"dropout must be in [0, 1), got {dropout!r}")
         self.input_dim = input_dim
         self.n_levels = n_levels
         self.hidden = hidden_size
@@ -391,24 +393,23 @@ class SequentialPhaseEstimator:
 
     def fit(
         self,
-        dataset: list[tuple[np.ndarray, int]],
+        shots: np.ndarray,
+        labels: np.ndarray,
         lr: float,
         l2: float,
         epochs: int,
         rng: np.random.Generator | None = None,
     ) -> "SequentialPhaseEstimator":
-        """Minibatch sweeps over the dataset, in order: each train_step takes
-        a block of BATCH consecutive sequences (the last block of a sweep may
-        be shorter) and descends their summed cross-entropy plus
+        """Minibatch sweeps over the N sequences shots (N, L), in order, with
+        their phase indices labels (N,): each train_step takes a block of
+        BATCH consecutive sequences (the last block of a sweep may be
+        shorter) and descends their summed cross-entropy plus
         len(block) l2/2 |w|^2 at rate lr, so lr and l2 keep their
         per-sequence meaning. A block whose step is not finite is skipped
-        whole. Every sequence must have the same length, as every
-        pretraining dataset's sequences have cfg.shots shots; a ragged
-        dataset, or a phase index outside [0, M), raises ConfigurationError."""
-        if not dataset:
-            raise ConfigurationError("pretraining dataset is empty")
-        shots = self._checked_shots([s for s, _ in dataset], ndims=(2,))
-        labels = self._checked_labels([x for _, x in dataset], shots.shape[:1])
+        whole. Empty, ragged or non-integer shots, or a phase index outside
+        [0, M), raise ConfigurationError."""
+        shots = self._checked_shots(shots, ndims=(2,))
+        labels = self._checked_labels(labels, shots.shape[:1])
         for _ in range(epochs):
             for start in range(0, len(shots), BATCH):
                 block = slice(start, start + BATCH)

@@ -16,9 +16,9 @@ from vqsense.cli import (
     main,
     parse_config_file,
     write_checkpoint,
-    ConfigFileError,
 )
 from vqsense.engine import RunConfig, init_state, trial_seed
+from vqsense.probe import ConfigurationError
 
 FAST_CONFIG = """
 # small run for tests
@@ -78,19 +78,19 @@ class TestConfigFile:
     def test_unknown_key_reports_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("n = 2\nwibble = 3\n")
-        with pytest.raises(ConfigFileError, match="bad.cfg:2.*wibble"):
+        with pytest.raises(ConfigurationError, match="bad.cfg:2.*wibble"):
             parse_config_file(path)
 
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("alpha = two\n")
-        with pytest.raises(ConfigFileError, match="bad.cfg:1"):
+        with pytest.raises(ConfigurationError, match="bad.cfg:1"):
             parse_config_file(path)
 
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("just some words\n")
-        with pytest.raises(ConfigFileError, match="expected 'key = value'"):
+        with pytest.raises(ConfigurationError, match="expected 'key = value'"):
             parse_config_file(path)
 
     @pytest.mark.parametrize(
@@ -102,7 +102,7 @@ class TestConfigFile:
         path = tmp_path / "twice.cfg"
         path.write_text(text)
         last = len(text.splitlines())
-        with pytest.raises(ConfigFileError, match=f"twice.cfg:{last}: .* already set on line 1"):
+        with pytest.raises(ConfigurationError, match=f"twice.cfg:{last}: .* already set on line 1"):
             parse_config_file(path)
 
     @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)

@@ -11,7 +11,6 @@ from vqsense.engine import (
     RunConfig,
     aggregate,
     init_state,
-    make_pretrain_dataset,
     pretrain_run,
     probe_grad_step,
     run_trial,
@@ -44,6 +43,20 @@ def grad_state(theta, g_sum=1.0, g_count=1, **overrides):
     state = init_state(fast_config(layers=len(theta.angles), **overrides), 0)
     state.theta, state.g_sum, state.g_count = theta, g_sum, g_count
     return state
+
+
+def replay_pretrain_set(state):
+    """The set pretrain_run draws for a fresh state, replayed on a copy of
+    its rng: per sample a phase index, then its shots under the initial
+    angles. Returns shots (N, L), labels (N,) and the copy, left after the
+    last draw."""
+    cfg, rng = state.cfg, copy.deepcopy(state.rng)
+    shots, labels = [], []
+    for _ in range(cfg.pretrain_samples):
+        labels.append(rng.integers(cfg.m))
+        dist = probe.measurement_distribution(state.theta, state.grid[labels[-1]], cfg.n)
+        shots.append(probe.sample_shots(dist, cfg.shots, rng))
+    return np.array(shots), np.array(labels), rng
 
 
 class TestRunConfig:
@@ -427,7 +440,7 @@ class TestPretrainRun:
         state = init_state(fast_config(pretrain_samples=0), 0)
         theta_before, rng_before = state.theta.flat(), state.rng.bit_generator.state
         weights_before = state.models[0].get_weights()
-        assert pretrain_run(state) == []
+        assert pretrain_run(state) is None
         assert state.rng.bit_generator.state == rng_before
         np.testing.assert_array_equal(state.theta.flat(), theta_before)
         np.testing.assert_array_equal(state.models[0].get_weights(), weights_before)
@@ -438,11 +451,27 @@ class TestPretrainRun:
             pretrain_samples=10, pretrain_epochs=60, probe_pretrain_steps=0,
         )
         state = init_state(cfg, 3)
-        dataset = pretrain_run(state)
-        mean_ce = np.mean(
-            [state.models[0].loss_grads(s, xi)[0] for s, xi in dataset]
-        )
+        shots, labels, _ = replay_pretrain_set(state)
+        pretrain_run(state)
+        mean_ce = state.models[0].loss_grads(shots, labels)[0] / len(labels)
         assert mean_ce < np.log(cfg.m)
+
+    def test_draw_order(self):
+        """Each sample draws its phase index, then its shots under the initial
+        angles; then each member in turn fits on the whole set with the trial
+        rng. Moving any of these draws changes the weights."""
+        cfg = fast_config(probe_pretrain_steps=0, dropout=0.3, ensemble=2)
+        seed = 4
+        state = init_state(cfg, seed)
+        shots, labels, rng = replay_pretrain_set(state)
+        pretrain_run(state)
+        for k, model in enumerate(state.models):
+            fresh = SequentialPhaseEstimator(
+                2**cfg.n, cfg.m, cfg.hidden_size, cfg.dropout, seed=seed + 1 + k
+            )
+            fresh.fit(shots, labels, cfg.pretrain_lr, cfg.l2, cfg.pretrain_epochs, rng=rng)
+            assert fresh.weights.tobytes() == model.weights.tobytes()
+        assert rng.bit_generator.state == state.rng.bit_generator.state
 
     def test_resets_probe_baseline(self):
         state = init_state(fast_config(), 2)

@@ -253,6 +253,13 @@ class TestDropoutMasks:
         assert make_model().dropout_masks(np.random.default_rng(0), (4,)) is None
         assert make_model().dropout_masks(None) is None
 
+    @pytest.mark.parametrize("dropout", [1.0, 1.5, -0.5, np.nan])
+    def test_dropout_outside_unit_interval_rejected(self, dropout):
+        """1.0 would divide by zero in dropout_masks, 1.5 would draw all-zero
+        masks and -0.5 would silently mean no dropout."""
+        with pytest.raises(ConfigurationError, match=r"dropout must be in \[0, 1\)"):
+            make_model(dropout=dropout)
+
     def test_dropout_without_rng_rejected(self):
         with pytest.raises(ConfigurationError, match="needs an rng"):
             make_model(dropout=0.4).dropout_masks(None)
@@ -264,7 +271,7 @@ class TestDropoutMasks:
         shots, before = rng.integers(4, size=5), model.weights.tobytes()
         with pytest.raises(ConfigurationError, match="needs an rng"):
             if call == "fit":
-                model.fit([(shots, 3)], 1e-2, 1e-4, epochs=1)
+                model.fit(shots[None], np.array([3]), 1e-2, 1e-4, epochs=1)
             else:
                 model.train_step(shots, 3, 1e-2, 1e-4)
         assert model.weights.tobytes() == before
@@ -427,10 +434,9 @@ class TestFit:
         """fit is train_step over consecutive blocks of BATCH sequences, the
         last one shorter, sweep after sweep."""
         n = 2 * BATCH + 3
-        dataset = [(rng.integers(4, size=6), int(rng.integers(10))) for _ in range(n)]
+        shots, labels = rng.integers(4, size=(n, 6)), rng.integers(10, size=n)
         fitted, stepped = make_model(perturb=0.2), make_model(perturb=0.2)
-        fitted.fit(dataset, 0.01, 1e-4, epochs=2)
-        shots, labels = np.array([s for s, _ in dataset]), np.array([x for _, x in dataset])
+        fitted.fit(shots, labels, 0.01, 1e-4, epochs=2)
         for _ in range(2):
             for start in range(0, n, BATCH):
                 block = slice(start, start + BATCH)
@@ -441,10 +447,10 @@ class TestFit:
         """fit takes each block's masks in one draw: the rng ends where one
         (2, H) draw per sequence and epoch would leave it."""
         n, epochs = BATCH + 7, 3
-        dataset = [(rng.integers(4, size=5), int(rng.integers(10))) for _ in range(n)]
+        shots, labels = rng.integers(4, size=(n, 5)), rng.integers(10, size=n)
         model = make_model(perturb=0.2, dropout=0.3)
         fit_rng, expected = np.random.default_rng(11), np.random.default_rng(11)
-        model.fit(dataset, 0.01, 1e-4, epochs=epochs, rng=fit_rng)
+        model.fit(shots, labels, 0.01, 1e-4, epochs=epochs, rng=fit_rng)
         for _ in range(n * epochs):
             expected.random((2, model.hidden))
         assert fit_rng.bit_generator.state == expected.bit_generator.state
@@ -453,49 +459,45 @@ class TestFit:
     def test_label_out_of_range_rejected(self, rng, label):
         model = make_model(perturb=0.2)
         before = model.weights.tobytes()
-        dataset = [(rng.integers(4, size=5), 3), (rng.integers(4, size=5), label)]
         with pytest.raises(ConfigurationError, match="out of range"):
-            model.fit(dataset, 1e-2, 1e-4, epochs=1)
+            model.fit(rng.integers(4, size=(2, 5)), np.array([3, label]), 1e-2, 1e-4, epochs=1)
         assert model.weights.tobytes() == before
 
     def test_ragged_dataset_rejected(self, rng):
         """Pretraining sequences all have cfg.shots shots; fit needs one length."""
         model = make_model(perturb=0.2)
         before = model.weights.tobytes()
-        dataset = [(rng.integers(4, size=5), 3), (rng.integers(4, size=6), 4)]
+        ragged = [rng.integers(4, size=5), rng.integers(4, size=6)]
         with pytest.raises(ConfigurationError, match="not an integer array"):
-            model.fit(dataset, 1e-2, 1e-4, epochs=1)
+            model.fit(ragged, np.array([3, 4]), 1e-2, 1e-4, epochs=1)
         assert model.weights.tobytes() == before
 
     def test_zero_epochs_no_change(self, rng):
         model = make_model(perturb=0.1)
         before = model.get_weights()
-        model.fit([(rng.integers(4, size=5), 1)], 1e-3, 1e-4, epochs=0)
+        model.fit(rng.integers(4, size=(1, 5)), np.array([1]), 1e-3, 1e-4, epochs=0)
         np.testing.assert_array_equal(model.get_weights(), before)
 
     def test_beats_uniform_on_training_set(self, rng):
         model = make_model(hidden=16)
-        dataset = []
-        for xi in range(10):
-            # outcomes loosely correlated with the label
-            shots = np.clip(
-                rng.integers(4, size=10) // 2 + (xi % 4) // 2, 0, 3
-            )
-            dataset.append((shots, xi))
-        model.fit(dataset, 0.02, 1e-4, epochs=100)
-        mean_ce = np.mean([model.loss_grads(s, xi)[0] for s, xi in dataset])
+        labels = np.arange(10)
+        # outcomes loosely correlated with the label
+        shots = np.clip(rng.integers(4, size=(10, 10)) // 2 + (labels[:, None] % 4) // 2, 0, 3)
+        model.fit(shots, labels, 0.02, 1e-4, epochs=100)
+        mean_ce = model.loss_grads(shots, labels)[0] / len(labels)
         assert mean_ce < np.log(10)
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_model().fit([], 1e-3, 1e-4, epochs=1)
+        with pytest.raises(ConfigurationError, match="nonempty"):
+            make_model().fit(np.empty((0, 5), dtype=np.int64), np.empty(0, dtype=np.int64),
+                             1e-3, 1e-4, epochs=1)
 
     def test_deterministic(self, rng):
-        dataset = [(rng.integers(4, size=6), int(rng.integers(10))) for _ in range(5)]
+        shots, labels = rng.integers(4, size=(5, 6)), rng.integers(10, size=5)
         a = make_model(seed=3)
         b = make_model(seed=3)
-        a.fit(dataset, 0.01, 1e-4, epochs=20)
-        b.fit(dataset, 0.01, 1e-4, epochs=20)
+        a.fit(shots, labels, 0.01, 1e-4, epochs=20)
+        b.fit(shots, labels, 0.01, 1e-4, epochs=20)
         np.testing.assert_array_equal(a.get_weights(), b.get_weights())
 
 
