@@ -64,7 +64,7 @@ def check_probe_logprob_grad(seed: int = 0, corrupt: bool = False) -> dict:
     """
     rng = np.random.default_rng(seed)
     n, tol = 2, 1e-3
-    theta = probe.ProbeParams.random(2, rng)
+    theta = probe.random_angles(2, rng)
     x = float(rng.uniform(0, np.pi))
     dist = probe.measurement_distribution(theta, x, n)
     valid = np.flatnonzero(dist > probe.PROB_FLOOR)
@@ -74,7 +74,7 @@ def check_probe_logprob_grad(seed: int = 0, corrupt: bool = False) -> dict:
     count_vectors.append(np.bincount(rng.choice(valid, size=2**n + 4), minlength=2**n))
     max_rel = 0.0
     for counts in count_vectors:
-        adjoint = probe.log_prob_grad(theta, x, n, counts)
+        adjoint = probe.log_prob_grad(theta, x, n, counts).ravel()
         if corrupt:
             adjoint = adjoint * 1.01
         numeric = counts[valid] @ table[valid]
@@ -96,7 +96,7 @@ def check_score_function_gradient(seed: int = 0, corrupt: bool = False) -> dict:
     rng = np.random.default_rng(seed)
     n, layers, n_shots, m = 2, 2, 2, 10
     n_resamples, sigmas = 10_000, 3.0
-    theta = probe.ProbeParams.random(layers, rng)
+    theta = probe.random_angles(layers, rng)
     x = float(probe.phase_grid(m)[3])
     lam, tau = float(np.log(m)), 0.5
 
@@ -110,15 +110,14 @@ def check_score_function_gradient(seed: int = 0, corrupt: bool = False) -> dict:
         for pair, post in zip(pairs, posts)
     }
 
-    def expected_g(flat_theta: np.ndarray) -> float:
-        p = probe.measurement_distribution(probe.ProbeParams.from_flat(flat_theta), x, n)
+    def expected_g(angles: np.ndarray) -> float:
+        p = probe.measurement_distribution(angles, x, n)
         return sum(p[a] * p[b] * g for (a, b), g in g_table.items())
 
-    flat = theta.flat()
     h = 1e-5
-    oracle = np.zeros(len(flat))
-    for k in range(len(flat)):
-        up, dn = flat.copy(), flat.copy()
+    oracle = np.zeros_like(theta)
+    for k in np.ndindex(theta.shape):
+        up, dn = theta.copy(), theta.copy()
         up[k] += h
         dn[k] -= h
         oracle[k] = (expected_g(up) - expected_g(dn)) / (2 * h)
@@ -128,8 +127,8 @@ def check_score_function_gradient(seed: int = 0, corrupt: bool = False) -> dict:
         s: probe.log_prob_grad(theta, x, n, np.bincount([s], minlength=2**n))
         for s in np.flatnonzero(dist > probe.PROB_FLOOR)
     }
-    baseline = expected_g(flat)
-    samples = np.zeros((n_resamples, len(flat)))
+    baseline = expected_g(theta)
+    samples = np.zeros((n_resamples, *theta.shape))
     for i in range(n_resamples):
         shots = probe.sample_shots(dist, n_shots, rng)
         if not all(dist[s] > probe.PROB_FLOOR for s in shots):

@@ -300,7 +300,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
             write_checkpoint(
                 out_dir / "theta.txt",
                 f"theta layers={cfg.layers} count={cfg.layers * ANGLES_PER_LAYER}",
-                state.theta.flat(),
+                state.theta,
             )
         ]
         for k, model in enumerate(state.models):

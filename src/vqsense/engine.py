@@ -142,7 +142,7 @@ class RunState:
     """Mutable state of one trial."""
 
     cfg: RunConfig
-    theta: probe.ProbeParams
+    theta: np.ndarray  # the probe angles, (layers, 4)
     models: list[SequentialPhaseEstimator]
     lam: float  # the threshold; set by init_state, updated by sense_step
     grid: np.ndarray
@@ -163,7 +163,7 @@ class RunState:
         The probe is simulated once per phase and angle set: the cache is
         dropped whenever the angles change, so a frozen probe simulates at
         most M times per trial."""
-        key = self.theta.angles.tobytes()
+        key = self.theta.tobytes()
         if key != self._dist_key:
             self._dists.clear()
             self._dist_key = key
@@ -211,7 +211,7 @@ def init_state(cfg: RunConfig, seed: int) -> RunState:
     The static modes draw their fixed threshold uniform in [0, 2] right after
     the angles; the estimators seed their own generators."""
     rng = np.random.default_rng(seed)
-    theta = probe.ProbeParams.random(cfg.layers, rng)
+    theta = probe.random_angles(cfg.layers, rng)
     lam = cfg.lambda_start if cfg.updates_threshold else float(rng.uniform(0.0, 2.0))
     models = [
         SequentialPhaseEstimator(
@@ -271,7 +271,8 @@ def probe_grad_step(state: RunState, x_index: int, shots: np.ndarray, g_value: f
     The baseline b is the mean of the earlier G in state.g_sum / g_count (G
     itself on the first call), and G is then added to them. Shots s with
     p(s | x) <= probe.PROB_FLOOR under the current angles are skipped; writes
-    state.theta and returns True when any shot was skipped.
+    state.theta and returns True when any shot was skipped. A step whose
+    angles would not all be finite is not taken, and returns True.
     """
     cfg = state.cfg
     baseline = state.g_sum / state.g_count if state.g_count else g_value
@@ -286,10 +287,10 @@ def probe_grad_step(state: RunState, x_index: int, shots: np.ndarray, g_value: f
     grad_logp = probe.log_prob_grad(
         state.theta, state.grid[x_index], cfg.n, np.bincount(usable, minlength=2**cfg.n)
     )
-    ghat = (g_value - baseline) * grad_logp
-    if not np.all(np.isfinite(ghat)):
+    theta = state.theta - cfg.eta_theta * ((g_value - baseline) * grad_logp)
+    if not np.all(np.isfinite(theta)):
         return True
-    state.theta = probe.ProbeParams.from_flat(state.theta.flat() - cfg.eta_theta * ghat)
+    state.theta = theta
     return len(usable) < len(shots)
 
 

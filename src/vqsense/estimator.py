@@ -371,9 +371,10 @@ class SequentialPhaseEstimator:
         run=None,
     ) -> bool:
         """One gradient step on -log p(x_index | shots) + l2/2 |w|^2; returns
-        False if the step was skipped because of a non-finite gradient. On a
-        block (B, L) with B indices it descends the summed loss plus
-        B l2/2 |w|^2, drawing one dropout mask per sequence. `run`, from
+        False if the step was skipped because the scaled step lr (grad + l2 w)
+        is not finite, a non-finite gradient or an overflow of the product
+        with lr. On a block (B, L) with B indices it descends the summed loss
+        plus B l2/2 |w|^2, drawing one dropout mask per sequence. `run`, from
         forward, saves loss_grads the forward pass."""
         if run is None:
             shots = self._checked_shots(shots, ndims=(1, 2))
@@ -383,11 +384,11 @@ class SequentialPhaseEstimator:
         # lr (grad + B l2 w), built in place in one buffer
         step = np.multiply(self.weights, l2 * batch[0] if batch else l2, out=self._step)
         step += grad
+        step *= lr
         # one pass: step . step is finite when every entry is; only if it is
         # not (an inf or NaN entry, or an overflow) look entry by entry
         if not np.isfinite(step @ step) and not np.isfinite(step).all():
             return False
-        step *= lr
         self.weights -= step
         return True
 

@@ -12,7 +12,6 @@ the diagonal phase channel would be invisible to the measurement.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,36 +37,10 @@ def ry_matrix(angle: float) -> np.ndarray:
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
-@dataclass
-class ProbeParams:
-    """Shared-parameter angles for the layered probe circuit.
-
-    angles has shape (layers, 4): columns are (rz, ry, rz) for the shared
-    single-qubit rotation and the shared two-qubit ZZ angle.
-    """
-
-    angles: np.ndarray
-
-    def __post_init__(self):
-        self.angles = np.asarray(self.angles, dtype=float)
-        if self.angles.ndim != 2 or self.angles.shape[1] != ANGLES_PER_LAYER:
-            raise ConfigurationError(
-                f"angles must have shape (layers, {ANGLES_PER_LAYER}), got {self.angles.shape}"
-            )
-        if not np.all(np.isfinite(self.angles)):
-            raise ConfigurationError("probe angles must be finite")
-
-    def flat(self) -> np.ndarray:
-        return self.angles.reshape(-1).copy()
-
-    @classmethod
-    def from_flat(cls, values: np.ndarray) -> "ProbeParams":
-        values = np.asarray(values, dtype=float)
-        return cls(values.reshape(-1, ANGLES_PER_LAYER))
-
-    @classmethod
-    def random(cls, layers: int, rng: np.random.Generator) -> "ProbeParams":
-        return cls(rng.uniform(-np.pi, np.pi, size=(layers, ANGLES_PER_LAYER)))
+def random_angles(layers: int, rng: np.random.Generator) -> np.ndarray:
+    """Probe angles (layers, 4), uniform in [-pi, pi): each row is (rz, ry, rz)
+    for the shared single-qubit rotation and the shared two-qubit ZZ angle."""
+    return rng.uniform(-np.pi, np.pi, size=(layers, ANGLES_PER_LAYER))
 
 
 def phase_grid(m: int) -> np.ndarray:
@@ -117,27 +90,38 @@ def _apply_all(amps: np.ndarray, n: int, mat: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _layer_states(theta: ProbeParams, n: int) -> tuple[np.ndarray, ...]:
+def _layer_states(theta: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """Amplitudes entering each layer of the ansatz, then the probe output.
 
-    Keyed on the angles' bytes, so an in-place edit of theta.angles runs the
-    ansatz again, while the gradient that follows a step's distribution at
-    the same angles reuses its states.
+    theta is the (layers, 4) angle array; every simulation and gradient
+    starts here, so any other shape raises ConfigurationError. Keyed on the
+    angles' bytes, so an in-place edit of theta runs the ansatz again, while
+    the gradient that follows a step's distribution at the same angles
+    reuses its states.
     """
-    return _states_for(np.asarray(theta.angles, dtype=float).tobytes(), n)
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 2 or theta.shape[1] != ANGLES_PER_LAYER:
+        raise ConfigurationError(
+            f"angles must have shape (layers, {ANGLES_PER_LAYER}), got {theta.shape}"
+        )
+    return _states_for(theta.tobytes(), n)
 
 
 @functools.lru_cache(maxsize=1)
 def _states_for(angle_bytes: bytes, n: int) -> tuple[np.ndarray, ...]:
     """_layer_states for one angle set, kept until the next one; read-only,
-    since every caller at those angles shares them."""
+    since every caller at those angles shares them. Non-finite angles raise
+    ConfigurationError, checked once per angle set."""
     if not 2 <= n <= MAX_QUBITS:
         raise ConfigurationError(f"probe circuit needs 2 <= n <= {MAX_QUBITS}, got {n}")
+    angles = np.frombuffer(angle_bytes).reshape(-1, ANGLES_PER_LAYER)
+    if not np.all(np.isfinite(angles)):
+        raise ConfigurationError("probe angles must be finite")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
     states = [amps]
     ring = _bit_tables(n)[1]
-    for a, b, c, g in np.frombuffer(angle_bytes).reshape(-1, ANGLES_PER_LAYER):
+    for a, b, c, g in angles:
         single = rz_matrix(a) @ ry_matrix(b) @ rz_matrix(c)
         amps = _apply_all(amps, n, single)
         # the ring of shared ZZ gates is one diagonal phase per basis state
@@ -148,7 +132,7 @@ def _states_for(angle_bytes: bytes, n: int) -> tuple[np.ndarray, ...]:
     return tuple(states)
 
 
-def prepare_probe(theta: ProbeParams, n: int) -> np.ndarray:
+def prepare_probe(theta: np.ndarray, n: int) -> np.ndarray:
     """Run the layered ansatz on |0...0>; returns the 2**n probe amplitudes.
 
     amps[s] is the amplitude of |s>, with qubit 0 in the least-significant bit.
@@ -163,7 +147,7 @@ def _readout_amplitudes(amps: np.ndarray, x: float, n: int) -> np.ndarray:
     return _apply_all(amps, n, HADAMARD)
 
 
-def measurement_distribution(theta: ProbeParams, x: float, n: int) -> np.ndarray:
+def measurement_distribution(theta: np.ndarray, x: float, n: int) -> np.ndarray:
     """Outcome distribution of probe -> phase channel -> Hadamards -> readout."""
     return np.abs(_readout_amplitudes(prepare_probe(theta, n), x, n)) ** 2
 
@@ -182,30 +166,31 @@ def sample_shots(dist: np.ndarray, shots: int, rng: np.random.Generator) -> np.n
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
-def log_prob_grad_table(theta: ProbeParams, x: float, n: int, h: float = 1e-5) -> np.ndarray:
+def log_prob_grad_table(theta: np.ndarray, x: float, n: int, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradients of log p(s|x) w.r.t. every probe angle.
 
-    Returns a (2**n, n_params) table. Row s is meaningful only where
-    p(s|x) > PROB_FLOOR; callers hold that distribution and must skip the
-    other rows. This is the reference that log_prob_grad is checked against.
+    Returns a (2**n, 4 * layers) table, its columns the angles in row-major
+    order. Row s is meaningful only where p(s|x) > PROB_FLOOR; callers hold
+    that distribution and must skip the other rows. This is the reference
+    that log_prob_grad, raveled, is checked against.
     """
-    flat = theta.flat()
-    grads = np.zeros((2**n, len(flat)))
-    for k in range(len(flat)):
-        plus = flat.copy()
-        plus[k] += h
-        minus = flat.copy()
-        minus[k] -= h
-        p_plus = measurement_distribution(ProbeParams.from_flat(plus), x, n)
-        p_minus = measurement_distribution(ProbeParams.from_flat(minus), x, n)
+    theta = np.asarray(theta, dtype=float)
+    grads = np.zeros((2**n, theta.size))
+    for k in range(theta.size):
+        plus, minus = theta.copy(), theta.copy()
+        plus.flat[k] += h
+        minus.flat[k] -= h
+        p_plus = measurement_distribution(plus, x, n)
+        p_minus = measurement_distribution(minus, x, n)
         safe_p = np.maximum(p_plus, 1e-300)
         safe_m = np.maximum(p_minus, 1e-300)
         grads[:, k] = (np.log(safe_p) - np.log(safe_m)) / (2 * h)
     return grads
 
 
-def log_prob_grad(theta: ProbeParams, x: float, n: int, counts: np.ndarray) -> np.ndarray:
-    """Exact gradient of sum_s counts[s] * log p(s|x) w.r.t. the flat angles.
+def log_prob_grad(theta: np.ndarray, x: float, n: int, counts: np.ndarray) -> np.ndarray:
+    """Exact gradient of sum_s counts[s] * log p(s|x) w.r.t. the angles, in
+    their (layers, 4) shape.
 
     Adjoint differentiation (Jones & Gacon 2020, arXiv 2009.02823): one
     forward pass keeps each layer's input amplitudes, then the adjoint
@@ -217,6 +202,7 @@ def log_prob_grad(theta: ProbeParams, x: float, n: int, counts: np.ndarray) -> n
     ring-sign table for ZZ. counts holds one non-negative count per outcome,
     shape (2**n,), and must be 0 wherever p(s|x) is 0.
     """
+    theta = np.asarray(theta, dtype=float)
     states = _layer_states(theta, n)
     counts = np.asarray(counts)
     if counts.shape != (2**n,):
@@ -232,9 +218,9 @@ def log_prob_grad(theta: ProbeParams, x: float, n: int, counts: np.ndarray) -> n
     )
     lam = _apply_all(lam, n, HADAMARD.conj().T)
     lam = lam * np.exp(-1j * x * popcount)
-    grads = np.zeros_like(theta.angles)
-    for k in reversed(range(len(theta.angles))):
-        a, b, c, g = theta.angles[k]
+    grads = np.zeros_like(theta)
+    for k in reversed(range(len(theta))):
+        a, b, c, g = theta[k]
         psi = states[k + 1]
         # Rz(a) and the ZZ ring are diagonal, so both read at the layer output
         overlap = np.conj(lam) * psi
@@ -247,4 +233,4 @@ def log_prob_grad(theta: ProbeParams, x: float, n: int, counts: np.ndarray) -> n
         lam = _apply_all(lam, n, ry_matrix(-b))
         lam = lam * np.exp(0.5j * c * z)
         grads[k, 2] = np.imag(np.vdot(lam, z * states[k]))
-    return grads.reshape(-1)
+    return grads

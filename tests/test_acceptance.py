@@ -12,7 +12,7 @@ import pytest
 
 from vqsense import checks, cli, conformal, probe
 from vqsense.engine import RunConfig, aggregate, run_trial, trial_seed
-from vqsense.probe import HADAMARD, ProbeParams, phase_grid
+from vqsense.probe import HADAMARD, phase_grid
 
 import conftest
 from conftest import dense_embed, random_unitary, zero_state
@@ -142,7 +142,7 @@ class TestCriterion5SimulatorOracles:
     def test_analytic_magnetometer(self):
         # two unentangled Ry(pi/2)|0> qubits read in the X basis: each has
         # P(0) = cos^2(x/2), so P(00) = cos^4(x/2)
-        theta = ProbeParams([[0.0, np.pi / 2, 0.0, 0.0]])
+        theta = np.array([[0.0, np.pi / 2, 0.0, 0.0]])
         worst = 0.0
         for x in phase_grid(10):
             dist = probe.measurement_distribution(theta, x, 2)
@@ -168,7 +168,7 @@ class TestCriterion5SimulatorOracles:
                 worst = max(worst, np.max(np.abs(amps - dense)))
         # the structured probe circuit must also match its dense oracle
         for n in (2, 3):
-            theta = ProbeParams.random(3, rng)
+            theta = probe.random_angles(3, rng)
             x = rng.uniform(0, np.pi)
             amps = probe_state_oracle(theta, n)
             worst = max(worst, np.max(np.abs(probe.prepare_probe(theta, n) - amps)))
@@ -180,7 +180,7 @@ class TestCriterion5SimulatorOracles:
 
     def test_sampling_tv_distance(self):
         rng = np.random.default_rng(11)
-        theta = ProbeParams.random(4, rng)
+        theta = probe.random_angles(4, rng)
         dist = probe.measurement_distribution(theta, 1.1, 4)
         shots = probe.sample_shots(dist, 100_000, np.random.default_rng(3))
         freqs = np.bincount(shots, minlength=dist.size) / shots.size

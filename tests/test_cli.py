@@ -276,6 +276,24 @@ class TestRunArtifacts:
             data = (out / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--lr", "1e300", "--T", "10", "--pretrain-samples", "0"],
+         ["--pretrain-lr", "1e300", "--pretrain-samples", "5", "--pretrain-epochs", "2",
+          "--T", "3"]],
+        ids=["lr", "pretrain-lr"],
+    )
+    def test_overflowing_learning_rate_completes(self, tmp_path, flags):
+        # each estimator step whose lr (grad + l2 w) overflows is skipped, not taken
+        out = tmp_path / "run"
+        with np.errstate(over="ignore"):
+            assert main(["run", "--trials", "1", *flags, "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["status"] == "complete"
+        records = [json.loads(line) for line in (out / "trial_0.jsonl").open()]
+        assert all(np.all(np.isfinite(r["scores"])) for r in records)
+        if "--lr" in flags:
+            assert any(r["skipped_grad"] for r in records)
+
     def test_manifest_states_the_trial_seed_stride(self, fast_cfg_file, tmp_path):
         out = tmp_path / "run"
         assert main(["run", "--config", str(fast_cfg_file), "--out-dir", str(out)]) == 0
@@ -392,7 +410,7 @@ class TestCheckpoints:
         assert rc == 0
         cfg = RunConfig(**json.loads((out / "manifest.json").read_text())["config"])
         state = init_state(cfg, trial_seed(cfg, 0))
-        np.testing.assert_array_equal(read_checkpoint(out / "theta.txt")[1], state.theta.flat())
+        np.testing.assert_array_equal(read_checkpoint(out / "theta.txt")[1], state.theta.ravel())
         np.testing.assert_array_equal(read_checkpoint(out / "weights_0.txt")[1],
                                       state.models[0].get_weights())
 

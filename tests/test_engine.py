@@ -32,7 +32,7 @@ def fast_config(**overrides):
 
 
 def state_hash(state):
-    payload = state.theta.flat().tobytes() + b"".join(
+    payload = state.theta.tobytes() + b"".join(
         m.get_weights().tobytes() for m in state.models
     )
     return hashlib.sha256(payload).hexdigest()
@@ -40,7 +40,7 @@ def state_hash(state):
 
 def grad_state(theta, g_sum=1.0, g_count=1, **overrides):
     """A trial state at angles theta whose probe baseline is g_sum / g_count."""
-    state = init_state(fast_config(layers=len(theta.angles), **overrides), 0)
+    state = init_state(fast_config(layers=len(theta), **overrides), 0)
     state.theta, state.g_sum, state.g_count = theta, g_sum, g_count
     return state
 
@@ -122,7 +122,7 @@ class TestSenseStep:
         cfg = fast_config(mode=mode)
         state = init_state(cfg, 11)
         rng = np.random.default_rng(11)
-        probe.ProbeParams.random(cfg.layers, rng)
+        probe.random_angles(cfg.layers, rng)
         lam = rng.uniform(0.0, 2.0)
         assert state.lam == lam
         for t in range(4):
@@ -194,7 +194,7 @@ class TestSenseStep:
 class TestDistributionCache:
     def fresh(self, angles, x_value, state):
         probe._states_for.cache_clear()
-        return probe.measurement_distribution(probe.ProbeParams(angles), x_value, state.cfg.n)
+        return probe.measurement_distribution(angles, x_value, state.cfg.n)
 
     @pytest.mark.parametrize("mode", engine.MODES)
     def test_every_step_matches_fresh_simulation(self, mode, monkeypatch):
@@ -211,7 +211,7 @@ class TestDistributionCache:
         monkeypatch.setattr(probe, "sample_shots", spy)
         for t in range(cfg.horizon):
             x_index = int(state.rng.integers(cfg.m))
-            angles = state.theta.angles.copy()
+            angles = state.theta.copy()
             sense_step(state, x_index)
             want = self.fresh(angles, state.grid[x_index], state)
             assert sampled[-1].tobytes() == want.tobytes()
@@ -238,13 +238,13 @@ class TestDistributionCache:
         assert state.distribution(2) is first
         with pytest.raises(ValueError):
             first[0] = 0.5  # shared by every step at these angles
-        state.theta.angles[0, 1] += 0.4  # an in-place edit counts as a change
+        state.theta[0, 1] += 0.4  # an in-place edit counts as a change
         moved = state.distribution(2)
-        assert moved.tobytes() == self.fresh(state.theta.angles, state.grid[2], state).tobytes()
+        assert moved.tobytes() == self.fresh(state.theta, state.grid[2], state).tobytes()
         assert moved.tobytes() != first.tobytes()
-        state.theta = probe.ProbeParams.random(cfg.layers, np.random.default_rng(9))
+        state.theta = probe.random_angles(cfg.layers, np.random.default_rng(9))
         assert state.distribution(2).tobytes() == self.fresh(
-            state.theta.angles, state.grid[2], state
+            state.theta, state.grid[2], state
         ).tobytes()
 
 
@@ -260,7 +260,7 @@ class TestDistributionCache:
             return run(model, *args, **kwargs)
 
         monkeypatch.setattr(SequentialPhaseEstimator, "_run", counted)
-        start = state.theta.angles.copy()
+        start = state.theta.copy()
         for t in range(cfg.horizon):
             runs.clear()
             misses = probe._states_for.cache_info().misses
@@ -268,7 +268,7 @@ class TestDistributionCache:
             assert len(runs) == 1  # the posterior's pass, reused by train_step
             # the gradient reuses the layer states of the step's distribution
             assert probe._states_for.cache_info().misses <= misses + 1
-        assert not np.array_equal(state.theta.angles, start)  # the probe moved
+        assert not np.array_equal(state.theta, start)  # the probe moved
 
 
 class TestDraw:
@@ -381,50 +381,61 @@ class TestPosterior:
 
 class TestProbeGradStep:
     def test_zero_rate_no_change(self, rng):
-        state = grad_state(probe.ProbeParams.random(2, rng), eta_theta=0.0)
-        before = state.theta.flat()
+        state = grad_state(probe.random_angles(2, rng), eta_theta=0.0)
+        before = state.theta.copy()
         assert not probe_grad_step(state, 1, np.array([0, 1]), 2.0)
-        np.testing.assert_array_equal(state.theta.flat(), before)
+        np.testing.assert_array_equal(state.theta, before)
         assert (state.g_sum, state.g_count) == (3.0, 2)  # G still joins the baseline
 
     def test_zero_advantage_no_change(self, rng):
         # baseline 6 / 2 equals G = 3
-        state = grad_state(probe.ProbeParams.random(2, rng), g_sum=6.0, g_count=2)
-        before = state.theta.flat()
+        state = grad_state(probe.random_angles(2, rng), g_sum=6.0, g_count=2)
+        before = state.theta.copy()
         probe_grad_step(state, 1, np.array([0, 1]), 3.0)
-        np.testing.assert_allclose(state.theta.flat(), before, atol=1e-15)
+        np.testing.assert_allclose(state.theta, before, atol=1e-15)
 
     def test_all_shots_degenerate_flags(self):
         # |++> with a ZZ phase, read in the Hadamard basis at grid phase 0:
         # outcomes 1 and 2 have probability 0 (about 1e-32)
-        theta = probe.ProbeParams([[0.0, np.pi / 2, 0.0, 0.3]])
+        theta = np.array([[0.0, np.pi / 2, 0.0, 0.3]])
         state = grad_state(theta)
         assert state.distribution(0)[[1, 2]].max() <= probe.PROB_FLOOR
         assert probe_grad_step(state, 0, np.array([1, 2]), 2.0)
-        np.testing.assert_array_equal(state.theta.flat(), theta.flat())
+        np.testing.assert_array_equal(state.theta, theta)
 
     def test_zero_probability_shot_flagged_and_ignored(self):
         # |++> with a ZZ phase g, read in the Hadamard basis at x = 0, gives
         # p = (cos^2 g, 0, 0, sin^2 g): outcome 1 is impossible, outcome 0 is not
-        theta = probe.ProbeParams([[0.0, np.pi / 2, 0.0, 0.3]])
+        theta = np.array([[0.0, np.pi / 2, 0.0, 0.3]])
         alone, mixed = grad_state(theta), grad_state(theta)
         dist = alone.distribution(0)  # grid phase 0
         assert dist[1] <= probe.PROB_FLOOR < dist[0]
         assert not probe_grad_step(alone, 0, np.array([0]), 2.0)
         assert probe_grad_step(mixed, 0, np.array([0, 1]), 2.0)
-        assert not np.array_equal(alone.theta.flat(), theta.flat())
-        np.testing.assert_array_equal(mixed.theta.flat(), alone.theta.flat())
+        assert not np.array_equal(alone.theta, theta)
+        np.testing.assert_array_equal(mixed.theta, alone.theta)
+
+    def test_overflowing_step_not_taken(self, rng):
+        # G - b = 6 - 1 and the gradient are finite, eta_theta (G - b) grad is not
+        theta = probe.random_angles(2, rng)
+        state = grad_state(theta, eta_theta=1e308)
+        shots = np.argsort(state.distribution(1))[::-1][[0, 0, 1]]
+        grad = probe.log_prob_grad(theta, state.grid[1], 2, np.bincount(shots, minlength=4))
+        assert np.abs(5.0 * grad).max() > 2.0
+        with np.errstate(over="ignore"):
+            assert probe_grad_step(state, 1, shots, 6.0)
+        assert state.theta is theta
 
     def test_matches_fd_table_update(self, rng):
-        theta = probe.ProbeParams.random(2, rng)
+        theta = probe.random_angles(2, rng)
         state = grad_state(theta, n=3, eta_theta=0.5)
         dist = state.distribution(1)
         shots = np.argsort(dist)[::-1][[0, 0, 1]]  # the likeliest outcome twice
         assert not probe_grad_step(state, 1, shots, 2.5)
         table = probe.log_prob_grad_table(theta, state.grid[1], 3)
-        expected = theta.flat() - 0.5 * 1.5 * table[shots].sum(axis=0)
-        out = state.theta.flat()
-        assert np.max(np.abs(out - theta.flat())) > 1e-3
+        expected = theta.ravel() - 0.5 * 1.5 * table[shots].sum(axis=0)
+        out = state.theta.ravel()
+        assert np.max(np.abs(out - theta.ravel())) > 1e-3
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9)
 
 
@@ -432,17 +443,17 @@ class TestPretrainRun:
     def test_zero_budget_keeps_theta(self):
         cfg = fast_config(probe_pretrain_steps=0)
         state = init_state(cfg, 0)
-        theta_before = state.theta.flat()
+        theta_before = state.theta.copy()
         pretrain_run(state)
-        np.testing.assert_array_equal(state.theta.flat(), theta_before)
+        np.testing.assert_array_equal(state.theta, theta_before)
 
     def test_no_samples_draws_nothing(self):
         state = init_state(fast_config(pretrain_samples=0), 0)
-        theta_before, rng_before = state.theta.flat(), state.rng.bit_generator.state
+        theta_before, rng_before = state.theta.copy(), state.rng.bit_generator.state
         weights_before = state.models[0].get_weights()
         assert pretrain_run(state) is None
         assert state.rng.bit_generator.state == rng_before
-        np.testing.assert_array_equal(state.theta.flat(), theta_before)
+        np.testing.assert_array_equal(state.theta, theta_before)
         np.testing.assert_array_equal(state.models[0].get_weights(), weights_before)
 
     def test_beats_uniform_on_pretrain_set(self):
@@ -477,9 +488,9 @@ class TestPretrainRun:
         state = init_state(fast_config(), 2)
         pretrain_run(state)
         assert (state.g_sum, state.g_count) == (0.0, 0)
-        before = state.theta.angles.tobytes()
+        before = state.theta.tobytes()
         rec = sense_step(state, 1)
-        assert state.theta.angles.tobytes() == before  # its baseline is its own G
+        assert state.theta.tobytes() == before  # its baseline is its own G
         assert (state.g_sum, state.g_count) == (rec.soft_size, 1)
 
     def test_same_seed_identical(self):

@@ -321,6 +321,14 @@ class TestTrainStep:
         assert model.train_step(rng.integers(4, size=5), 2, 1e-3, 1e-4) is False
         assert model.weights.tobytes() == before
 
+    def test_overflowing_scaled_step_leaves_weights_unchanged(self, rng):
+        # grad + l2 w is finite, but lr (grad + l2 w) overflows
+        model = make_model(perturb=0.2)
+        before = model.weights.tobytes()
+        with np.errstate(over="ignore"):
+            assert model.train_step(rng.integers(4, size=5), 2, 1e308, 10.0) is False
+        assert model.weights.tobytes() == before
+
     def test_zero_lr_still_validates(self, rng):
         model = make_model(perturb=0.2, dropout=0.4)
         with pytest.raises(ConfigurationError):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from vqsense import probe
 from vqsense.engine import RunConfig
-from vqsense.probe import HADAMARD, ConfigurationError, ProbeParams, phase_grid
+from vqsense.probe import HADAMARD, ConfigurationError, phase_grid
 
 from conftest import dense_embed, random_state, random_unitary, zero_state
 
@@ -23,7 +23,7 @@ def phase_oracle(n: int, x: float) -> np.ndarray:
     return mat
 
 
-def distribution_oracle(theta: ProbeParams, x: float, basis: np.ndarray, n: int):
+def distribution_oracle(theta: np.ndarray, x: float, basis: np.ndarray, n: int):
     """Dense-matrix reconstruction of measurement_distribution."""
     amps = phase_oracle(n, x) @ probe_state_oracle(theta, n)
     for q in range(n):
@@ -31,11 +31,11 @@ def distribution_oracle(theta: ProbeParams, x: float, basis: np.ndarray, n: int)
     return np.abs(amps) ** 2
 
 
-def probe_state_oracle(theta: ProbeParams, n: int) -> np.ndarray:
+def probe_state_oracle(theta: np.ndarray, n: int) -> np.ndarray:
     """Dense-matrix reconstruction of the probe circuit."""
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
-    for a, b, c, g in theta.angles:
+    for a, b, c, g in theta:
         single = probe.rz_matrix(a) @ probe.ry_matrix(b) @ probe.rz_matrix(c)
         for q in range(n):
             amps = dense_embed(n, single, (q,)) @ amps
@@ -67,7 +67,7 @@ class TestPhaseGrid:
 
 class TestPrepareProbe:
     def test_zero_angles_give_zero_state(self):
-        theta = ProbeParams(np.zeros((3, 4)))
+        theta = np.zeros((3, 4))
         amps = probe.prepare_probe(theta, 3)
         expected = np.zeros(8)
         expected[0] = 1.0
@@ -75,24 +75,24 @@ class TestPrepareProbe:
 
     def test_single_layer_ry_half_pi(self):
         # (rz, ry, rz) = (0, pi/2, 0), no entangler: product of plus states
-        theta = ProbeParams([[0.0, np.pi / 2, 0.0, 0.0]])
+        theta = np.array([[0.0, np.pi / 2, 0.0, 0.0]])
         amps = probe.prepare_probe(theta, 2)
         np.testing.assert_allclose(amps, np.full(4, 0.5), atol=1e-12)
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(5):
-            theta = ProbeParams.random(3, rng)
+            theta = probe.random_angles(3, rng)
             amps = probe.prepare_probe(theta, 3)
             np.testing.assert_allclose(amps, probe_state_oracle(theta, 3), atol=1e-10)
 
     def test_rejects_single_qubit(self):
         with pytest.raises(ConfigurationError):
-            probe.prepare_probe(ProbeParams(np.zeros((1, 4))), 1)
+            probe.prepare_probe(np.zeros((1, 4)), 1)
 
     def test_cyclic_shift_invariance_n4(self, rng):
         # shared parameters on a ring: outcome probabilities in the
         # computational basis are invariant under cyclic qubit relabeling
-        theta = ProbeParams.random(4, rng)
+        theta = probe.random_angles(4, rng)
         probs = np.abs(probe.prepare_probe(theta, 4)) ** 2
         n = 4
         shifted = np.empty_like(probs)
@@ -106,7 +106,7 @@ class TestPrepareProbe:
 class TestPhaseChannel:
     def test_x_zero_identity(self, rng):
         # at x = 0 the distribution is the probe read through the basis alone
-        theta = ProbeParams.random(2, rng)
+        theta = probe.random_angles(2, rng)
         amps = probe.prepare_probe(theta, 2)
         for q in range(2):
             amps = dense_embed(2, HADAMARD, (q,)) @ amps
@@ -117,7 +117,7 @@ class TestPhaseChannel:
         # amplitude s picks up e^{i x popcount(s)}, checked against the dense
         # diagonal through the Hadamard readout that makes it visible
         for n in (2, 3):
-            theta = ProbeParams.random(2, rng)
+            theta = probe.random_angles(2, rng)
             for x in (0.7, 2.9):
                 dist = probe.measurement_distribution(theta, x, n)
                 oracle = distribution_oracle(theta, x, HADAMARD, n)
@@ -129,27 +129,27 @@ class TestMeasurementDistribution:
         # angles (0, pi/2, 0, 0) put each of two qubits in Ry(pi/2)|0>, with no
         # entangler; each is a one-qubit magnetometer read in the X basis with
         # P(0) = cos^2(x/2), so P(00) = cos^4(x/2)
-        theta = ProbeParams([[0.0, np.pi / 2, 0.0, 0.0]])
+        theta = np.array([[0.0, np.pi / 2, 0.0, 0.0]])
         for x in phase_grid(10):
             dist = probe.measurement_distribution(theta, x, 2)
             assert abs(dist[0] - np.cos(x / 2) ** 4) < 1e-10
 
     def test_deterministic(self, rng):
-        theta = ProbeParams.random(2, rng)
+        theta = probe.random_angles(2, rng)
         a = probe.measurement_distribution(theta, 0.3, 3)
         b = probe.measurement_distribution(theta, 0.3, 3)
         np.testing.assert_array_equal(a, b)
 
     def test_valid_distribution(self, rng):
         for _ in range(10):
-            theta = ProbeParams.random(4, rng)
+            theta = probe.random_angles(4, rng)
             x = rng.uniform(0, np.pi)
             dist = probe.measurement_distribution(theta, x, 4)
             assert np.all(dist >= -1e-15)
             assert abs(dist.sum() - 1.0) < 1e-10
 
     def test_cyclic_shift_invariant_outcomes_n4(self, rng):
-        theta = ProbeParams.random(4, rng)
+        theta = probe.random_angles(4, rng)
         dist = probe.measurement_distribution(theta, 0.9, 4)
         n = 4
         shifted = np.empty_like(dist)
@@ -170,7 +170,7 @@ class TestMeasurementDistribution:
         # every gate is shared by all qubits and the ZZ gates sit on a ring,
         # so relabeling the qubits by any element of D_n leaves p(s | x), and
         # the prepared probe's own outcome probabilities, as they are
-        theta = ProbeParams.random(layers, np.random.default_rng(seed))
+        theta = probe.random_angles(layers, np.random.default_rng(seed))
         dists = (
             probe.measurement_distribution(theta, x, n),
             np.abs(probe.prepare_probe(theta, n)) ** 2,
@@ -224,17 +224,17 @@ class TestLayerStateMemo:
 
     def fresh(self, theta, x, n, counts):
         probe._states_for.cache_clear()
-        theta = ProbeParams(theta.angles.copy())
+        theta = theta.copy()
         return (
             probe.measurement_distribution(theta, x, n),
             probe.log_prob_grad(theta, x, n, counts),
         )
 
     def test_in_place_edit_recomputes(self, rng):
-        theta = ProbeParams.random(3, rng)
+        theta = probe.random_angles(3, rng)
         counts = np.array([2, 0, 1, 0, 0, 3, 0, 1])
         probe.measurement_distribution(theta, 0.6, 3)  # fills the memo
-        theta.angles[1, 2] += 0.3
+        theta[1, 2] += 0.3
         dist = probe.measurement_distribution(theta, 0.6, 3)
         grad = probe.log_prob_grad(theta, 0.6, 3, counts)
         want_dist, want_grad = self.fresh(theta, 0.6, 3, counts)
@@ -243,14 +243,14 @@ class TestLayerStateMemo:
         np.testing.assert_allclose(dist, distribution_oracle(theta, 0.6, HADAMARD, 3), atol=1e-12)
 
     def test_gradient_after_distribution_matches_fresh(self, rng):
-        theta = ProbeParams.random(2, rng)
+        theta = probe.random_angles(2, rng)
         counts = np.array([1, 0, 2, 0, 0, 0, 4, 1, 0, 0, 0, 0, 1, 0, 0, 1])
         probe.measurement_distribution(theta, 1.3, 4)
         grad = probe.log_prob_grad(theta, 1.3, 4, counts)
         assert grad.tobytes() == self.fresh(theta, 1.3, 4, counts)[1].tobytes()
 
     def test_cached_states_are_read_only(self, rng):
-        theta = ProbeParams.random(2, rng)
+        theta = probe.random_angles(2, rng)
         states = probe._layer_states(theta, 3)
         assert states is probe._layer_states(theta, 3)
         for amps in states:
@@ -258,14 +258,48 @@ class TestLayerStateMemo:
                 amps[0] = 0.0
 
     def test_prepare_probe_output_is_read_only(self, rng):
-        amps = probe.prepare_probe(ProbeParams.random(2, rng), 3)
+        amps = probe.prepare_probe(probe.random_angles(2, rng), 3)
         with pytest.raises(ValueError):
             amps[:] = 0.0
 
 
+# Every simulation and gradient entry point, at n = 3 and x = 0.4.
+ENTRY_POINTS = {
+    "prepare_probe": lambda theta: probe.prepare_probe(theta, 3),
+    "measurement_distribution": lambda theta: probe.measurement_distribution(theta, 0.4, 3),
+    "log_prob_grad": lambda theta: probe.log_prob_grad(theta, 0.4, 3, np.ones(8, int)),
+    "log_prob_grad_table": lambda theta: probe.log_prob_grad_table(theta, 0.4, 3),
+}
+
+
+class TestAngleChecks:
+    """The angles are checked where simulation starts: shape (layers, 4) in
+    _layer_states, finiteness once per angle set in _states_for."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "angles",
+        [np.zeros(4), np.zeros((2, 3)), np.zeros((1, 4, 1)),
+         np.array([[0.1, np.nan, 0.2, 0.3], [0.0] * 4]),
+         np.array([[0.1, 0.2, 0.3, 0.4], [0.0, 0.0, np.inf, 0.0]])],
+        ids=["shape-4", "shape-2x3", "shape-1x4x1", "nan", "inf"],
+    )
+    def test_rejected(self, entry, angles):
+        for _ in range(2):  # a rejected angle set is not cached
+            with pytest.raises(ConfigurationError):
+                ENTRY_POINTS[entry](angles)
+
+    def test_in_place_edit_to_nan_rejected(self, rng):
+        theta = probe.random_angles(2, rng)
+        probe.prepare_probe(theta, 3)
+        theta[1, 3] = np.nan
+        with pytest.raises(ConfigurationError):
+            probe.prepare_probe(theta, 3)
+
+
 class TestLogProbGrad:
     def test_two_step_consistency(self, rng):
-        theta = ProbeParams.random(2, rng)
+        theta = probe.random_angles(2, rng)
         x = 0.8
         valid = probe.measurement_distribution(theta, x, 2) > probe.PROB_FLOOR
         g1 = probe.log_prob_grad_table(theta, x, 2, h=1e-5)
@@ -278,7 +312,7 @@ class TestLogProbGrad:
     def test_stationary_coordinate_near_zero(self):
         # Ry(pi/2) puts both qubits in |+>, which the Hadamard readout at
         # x = 0 maps to |00>: p(0) = 1 is a maximum, so stationary
-        theta = ProbeParams([[0.0, np.pi / 2, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        theta = np.array([[0.0, np.pi / 2, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
         grads = probe.log_prob_grad_table(theta, 0.0, 2)
         np.testing.assert_allclose(grads[0], 0.0, atol=1e-6)
         adjoint = probe.log_prob_grad(theta, 0.0, 2, np.array([3, 0, 0, 0]))
@@ -287,13 +321,13 @@ class TestLogProbGrad:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_adjoint_matches_fd_table(self, rng, n):
         for _ in range(3):
-            theta = ProbeParams.random(3, rng)
+            theta = probe.random_angles(3, rng)
             x = float(rng.uniform(0, np.pi))
             dist = probe.measurement_distribution(theta, x, n)
             valid = np.flatnonzero(dist > probe.PROB_FLOOR)
             # more shots than outcomes, so some outcome repeats
             shots = rng.choice(valid, size=2**n + 3)
-            adjoint = probe.log_prob_grad(theta, x, n, np.bincount(shots, minlength=2**n))
+            adjoint = probe.log_prob_grad(theta, x, n, np.bincount(shots, minlength=2**n)).ravel()
             numeric = probe.log_prob_grad_table(theta, x, n)[shots].sum(axis=0)
             np.testing.assert_allclose(
                 adjoint, numeric, rtol=1e-6, atol=1e-6 * np.abs(numeric).max()
@@ -305,17 +339,17 @@ class TestLogProbGrad:
         ids=["length-one", "wrong-length", "negative"],
     )
     def test_malformed_counts_rejected(self, rng, counts):
-        theta = ProbeParams.random(2, rng)
+        theta = probe.random_angles(2, rng)
         with pytest.raises(ConfigurationError):
             probe.log_prob_grad(theta, 0.7, 3, counts)
 
     def test_zero_counts_give_zero(self, rng):
-        theta = ProbeParams.random(2, rng)
+        theta = probe.random_angles(2, rng)
         grad = probe.log_prob_grad(theta, 0.7, 3, np.zeros(8, int))
-        np.testing.assert_array_equal(grad, np.zeros(8))
+        np.testing.assert_array_equal(grad, np.zeros((2, 4)))
 
     def test_additive_in_counts(self, rng):
-        theta = ProbeParams.random(3, rng)
+        theta = probe.random_angles(3, rng)
         first, second = rng.integers(0, 4, size=(2, 8))
         whole = probe.log_prob_grad(theta, 1.1, 3, first + second)
         parts = sum(probe.log_prob_grad(theta, 1.1, 3, c) for c in (first, second))
@@ -331,7 +365,7 @@ class TestLogProbGrad:
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
-NO_LAYERS = ProbeParams(np.zeros((0, 4)))
+NO_LAYERS = np.zeros((0, 4))
 
 
 def reference_apply_1q(amps: np.ndarray, n: int, mat: np.ndarray, q: int) -> np.ndarray:
@@ -395,7 +429,7 @@ class TestOutcomeProbabilities:
     def test_zero_state(self):
         # Ry(pi/2) puts both qubits in |+>, read in the Hadamard basis at
         # x = 0 as |00>
-        theta = ProbeParams([[0.0, np.pi / 2, 0.0, 0.0]])
+        theta = np.array([[0.0, np.pi / 2, 0.0, 0.0]])
         dist = probe.measurement_distribution(theta, 0.0, 2)
         np.testing.assert_allclose(dist, [1, 0, 0, 0], atol=1e-15)
 
@@ -405,7 +439,7 @@ class TestOutcomeProbabilities:
         np.testing.assert_allclose(dist, [0.25] * 4, atol=1e-12)
 
     def test_matches_amps_squared_oracle(self, rng):
-        theta = ProbeParams.random(2, rng)
+        theta = probe.random_angles(2, rng)
         phases = np.exp(1j * 0.7 * np.array([bin(s).count("1") for s in range(8)]))
         amps = probe.prepare_probe(theta, 3) * phases
         for q in range(3):
