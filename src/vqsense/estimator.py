@@ -400,22 +400,24 @@ class SequentialPhaseEstimator:
         l2: float,
         epochs: int,
         rng: np.random.Generator | None = None,
-    ) -> "SequentialPhaseEstimator":
+    ) -> int:
         """Minibatch sweeps over the N sequences shots (N, L), in order, with
         their phase indices labels (N,): each train_step takes a block of
         BATCH consecutive sequences (the last block of a sweep may be
         shorter) and descends their summed cross-entropy plus
         len(block) l2/2 |w|^2 at rate lr, so lr and l2 keep their
         per-sequence meaning. A block whose step is not finite is skipped
-        whole. Empty, ragged or non-integer shots, or a phase index outside
-        [0, M), raise ConfigurationError."""
+        whole; returns the number of blocks skipped. Empty, ragged or
+        non-integer shots, or a phase index outside [0, M), raise
+        ConfigurationError."""
         shots = self._checked_shots(shots, ndims=(2,))
         labels = self._checked_labels(labels, shots.shape[:1])
+        skipped = 0
         for _ in range(epochs):
             for start in range(0, len(shots), BATCH):
                 block = slice(start, start + BATCH)
-                self.train_step(shots[block], labels[block], lr, l2, rng=rng)
-        return self
+                skipped += not self.train_step(shots[block], labels[block], lr, l2, rng=rng)
+        return skipped
 
 
 def _sum_outer(A: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:

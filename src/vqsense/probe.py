@@ -35,6 +35,7 @@ def ry_matrix(angle: float) -> np.ndarray:
 
 # The readout basis change, applied to every qubit before computational readout.
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+HADAMARD.setflags(write=False)
 
 
 def random_angles(layers: int, rng: np.random.Generator) -> np.ndarray:
@@ -51,27 +52,21 @@ def phase_grid(m: int) -> np.ndarray:
 
 
 @functools.cache
-def _bit_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(popcount, ring_sign) of every basis state s < 2**n, computed once per n.
+def _tables(n: int) -> tuple[np.ndarray, ...]:
+    """(popcount, z, ring, flip, sign) of the basis states s < 2**n, built once
+    per n and read-only, since every simulation at n shares them.
 
-    ring_sign[s] sums the ZZ eigenvalue (-1)^(b_q xor b_{q+1}) over ring pairs.
-    """
-    s = np.arange(2**n)
-    bits = (s[:, None] >> np.arange(n)) & 1
-    ring_sign = np.sum(1 - 2 * (bits ^ np.roll(bits, -1, axis=1)), axis=1)
-    return np.sum(bits, axis=1), ring_sign
-
-
-@functools.cache
-def _y_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(flip, sign), each (n, 2**n): (Y_q psi)[s] = i sign[q, s] psi[flip[q, s]].
-
-    flip[q, s] = s xor 2**q and sign[q, s] = 2 bit_q(s) - 1, computed once per
-    n and read-only, since every caller shares them.
+    z = n - 2 popcount is the diagonal of sum_q Z_q, and ring[s] sums the ZZ
+    eigenvalue (-1)^(b_q xor b_{q+1}) over ring pairs. flip and sign are
+    (n, 2**n), with (Y_q psi)[s] = i sign[q, s] psi[flip[q, s]]:
+    flip[q, s] = s xor 2**q and sign[q, s] = 2 bit_q(s) - 1.
     """
     s = np.arange(2**n)
     q = np.arange(n)[:, None]
-    tables = s ^ (1 << q), 2 * ((s >> q) & 1) - 1
+    bits = (s >> q) & 1
+    popcount = np.sum(bits, axis=0)
+    ring = np.sum(1 - 2 * (bits ^ np.roll(bits, -1, axis=0)), axis=0)
+    tables = popcount, n - 2 * popcount, ring, s ^ (1 << q), 2 * bits - 1
     for t in tables:
         t.setflags(write=False)
     return tables
@@ -120,7 +115,7 @@ def _states_for(angle_bytes: bytes, n: int) -> tuple[np.ndarray, ...]:
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0
     states = [amps]
-    ring = _bit_tables(n)[1]
+    ring = _tables(n)[2]
     for a, b, c, g in angles:
         single = rz_matrix(a) @ ry_matrix(b) @ rz_matrix(c)
         amps = _apply_all(amps, n, single)
@@ -143,7 +138,7 @@ def prepare_probe(theta: np.ndarray, n: int) -> np.ndarray:
 
 def _readout_amplitudes(amps: np.ndarray, x: float, n: int) -> np.ndarray:
     """Probe amplitudes -> phase channel -> Hadamard on every qubit."""
-    amps = amps * np.exp(1j * x * _bit_tables(n)[0])
+    amps = amps * np.exp(1j * x * _tables(n)[0])
     return _apply_all(amps, n, HADAMARD)
 
 
@@ -209,9 +204,7 @@ def log_prob_grad(theta: np.ndarray, x: float, n: int, counts: np.ndarray) -> np
         raise ConfigurationError(f"counts must have shape ({2**n},), got {counts.shape}")
     if np.any(counts < 0):
         raise ConfigurationError("outcome counts must be non-negative")
-    popcount, ring = _bit_tables(n)
-    flip, sign = _y_tables(n)
-    z = n - 2 * popcount
+    popcount, z, ring, flip, sign = _tables(n)
     omega = _readout_amplitudes(states[-1], x, n)
     lam = np.divide(
         counts * omega, np.abs(omega) ** 2, out=np.zeros_like(omega), where=counts != 0

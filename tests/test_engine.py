@@ -484,6 +484,23 @@ class TestPretrainRun:
             assert fresh.weights.tobytes() == model.weights.tobytes()
         assert rng.bit_generator.state == state.rng.bit_generator.state
 
+    @pytest.mark.parametrize(
+        "overrides, skipped",
+        [({}, 0), (dict(pretrain_lr=1e300, pretrain_samples=5, pretrain_epochs=2), 1)],
+        ids=["defaults", "overflow"],
+    )
+    def test_fit_counts_skipped_blocks(self, overrides, skipped):
+        """At rate 1e300 the first block's step is finite and takes the
+        weights to about 1e300; the second overflows and is skipped."""
+        cfg = RunConfig(**overrides)
+        state = init_state(cfg, 1)
+        shots, labels, rng = replay_pretrain_set(state)
+        model = state.models[0]
+        with np.errstate(over="ignore"):
+            got = model.fit(shots, labels, cfg.pretrain_lr, cfg.l2, cfg.pretrain_epochs, rng=rng)
+        assert got == skipped
+        assert np.isfinite(model.weights).all()
+
     def test_resets_probe_baseline(self):
         state = init_state(fast_config(), 2)
         pretrain_run(state)

@@ -361,7 +361,8 @@ class TestLogProbGrad:
 # to every qubit; here it is driven with gates the probe circuit does not fix
 # (X, identity, random unitaries, a non-unitary matrix) and compared with
 # explicit dense matrices and with the per-qubit tensordot kernel it replaced.
-# probe._y_tables gives the sum of Pauli Y over qubits in the probe gradient.
+# probe._tables gives the per-register tables every simulation shares, among
+# them the sum of Pauli Y over qubits in the probe gradient.
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
@@ -484,7 +485,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_y_sum_matches_dense(self, n, rng):
         psi = random_state(n, rng)
-        flip, sign = probe._y_tables(n)
+        flip, sign = probe._tables(n)[3:]
         y_psi = 1j * np.sum(sign * psi[flip], axis=0)
         dense = sum(dense_embed(n, Y, (q,)) for q in range(n)) @ psi
         np.testing.assert_allclose(y_psi, dense, atol=1e-12)
@@ -496,3 +497,26 @@ class TestOracleEquivalence:
         combined = probe._apply_all(a * psi1 + b * psi2, 3, mat)
         separate = a * probe._apply_all(psi1, 3, mat) + b * probe._apply_all(psi2, 3, mat)
         np.testing.assert_allclose(combined, separate, atol=1e-12)
+
+
+class TestTables:
+    """Every simulation at n shares probe._tables(n), and every one shares
+    HADAMARD, so a write into any of them must fail rather than change every
+    later run."""
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_read_only(self, n):
+        for table in probe._tables(n):
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            HADAMARD[0, 0] = 7
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_z_is_sum_of_z_diagonal(self, n):
+        popcount, z = probe._tables(n)[:2]
+        np.testing.assert_array_equal(z, n - 2 * popcount)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_built_once(self, n):
+        assert probe._tables(n) is probe._tables(n)
