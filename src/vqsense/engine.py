@@ -153,26 +153,9 @@ class RunState:
     loss_sum: float = 0.0
     steps: int = 0  # also the number of threshold updates, in the modes that make them
     records: list[EpisodeRecord] = field(default_factory=list)
-    # p(s | x) per phase index, valid for the angles whose bytes are _dist_key
-    _dists: dict[int, np.ndarray] = field(default_factory=dict)
-    _dist_key: bytes = b""
 
     def distribution(self, x_index: int) -> np.ndarray:
-        """p(s | x) at phase index x_index under the current angles, read-only.
-
-        The probe is simulated once per phase and angle set: the cache is
-        dropped whenever the angles change, so a frozen probe simulates at
-        most M times per trial."""
-        key = self.theta.tobytes()
-        if key != self._dist_key:
-            self._dists.clear()
-            self._dist_key = key
-        dist = self._dists.get(x_index)
-        if dist is None:
-            dist = probe.measurement_distribution(self.theta, self.grid[x_index], self.cfg.n)
-            dist.setflags(write=False)
-            self._dists[x_index] = dist
-        return dist
+        return probe.distribution(self.theta, self.grid[x_index], self.cfg.n)
 
     def draw(self, x_index: int) -> tuple[np.ndarray, list[np.ndarray | None]]:
         """One step's inputs from self.rng: shots from p(s | x) at x_index,
@@ -211,6 +194,7 @@ def init_state(cfg: RunConfig, seed: int) -> RunState:
     The static modes draw their fixed threshold uniform in [0, 2] right after
     the angles; the estimators seed their own generators."""
     rng = np.random.default_rng(seed)
+    probe._states_for.cache_clear()  # no trial reuses the simulations of the one before
     theta = probe.random_angles(cfg.layers, rng)
     lam = cfg.lambda_start if cfg.updates_threshold else float(rng.uniform(0.0, 2.0))
     models = [

@@ -85,8 +85,8 @@ def _apply_all(amps: np.ndarray, n: int, mat: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _layer_states(theta: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Amplitudes entering each layer of the ansatz, then the probe output.
+def _angle_cache(theta: np.ndarray, n: int) -> tuple[tuple[np.ndarray, ...], dict]:
+    """(layer states, distributions by phase) of theta's angle set, cached.
 
     theta is the (layers, 4) angle array; every simulation and gradient
     starts here, so any other shape raises ConfigurationError. Keyed on the
@@ -102,11 +102,16 @@ def _layer_states(theta: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     return _states_for(theta.tobytes(), n)
 
 
+def _layer_states(theta: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Amplitudes entering each layer of the ansatz, then the probe output."""
+    return _angle_cache(theta, n)[0]
+
+
 @functools.lru_cache(maxsize=1)
-def _states_for(angle_bytes: bytes, n: int) -> tuple[np.ndarray, ...]:
-    """_layer_states for one angle set, kept until the next one; read-only,
-    since every caller at those angles shares them. Non-finite angles raise
-    ConfigurationError, checked once per angle set."""
+def _states_for(angle_bytes: bytes, n: int) -> tuple[tuple[np.ndarray, ...], dict]:
+    """_angle_cache for one angle set, kept until the next one; the states are
+    read-only, since every caller at those angles shares them. Non-finite
+    angles raise ConfigurationError, checked once per angle set."""
     if not 2 <= n <= MAX_QUBITS:
         raise ConfigurationError(f"probe circuit needs 2 <= n <= {MAX_QUBITS}, got {n}")
     angles = np.frombuffer(angle_bytes).reshape(-1, ANGLES_PER_LAYER)
@@ -124,7 +129,7 @@ def _states_for(angle_bytes: bytes, n: int) -> tuple[np.ndarray, ...]:
         states.append(amps)
     for amps in states:
         amps.setflags(write=False)
-    return tuple(states)
+    return tuple(states), {}
 
 
 def prepare_probe(theta: np.ndarray, n: int) -> np.ndarray:
@@ -145,6 +150,16 @@ def _readout_amplitudes(amps: np.ndarray, x: float, n: int) -> np.ndarray:
 def measurement_distribution(theta: np.ndarray, x: float, n: int) -> np.ndarray:
     """Outcome distribution of probe -> phase channel -> Hadamards -> readout."""
     return np.abs(_readout_amplitudes(prepare_probe(theta, n), x, n)) ** 2
+
+
+def distribution(theta: np.ndarray, x: float, n: int) -> np.ndarray:
+    """measurement_distribution, simulated once per phase and angle set; read-only."""
+    dists = _angle_cache(theta, n)[1]
+    dist = dists.get(x)
+    if dist is None:
+        dist = dists[x] = measurement_distribution(theta, x, n)
+        dist.setflags(write=False)
+    return dist
 
 
 def sample_shots(dist: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
