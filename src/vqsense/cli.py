@@ -319,10 +319,14 @@ def _add_common_flags(p: argparse.ArgumentParser, fixed: Collection[str] = ()) -
     p.allow_abbrev = False  # whole names only: a fixed --dropout must not mean --dropout-passes
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--out-dir")
-    p.add_argument("--T", dest="horizon", help="horizon (number of time steps)")
+    # one of the two spellings of the horizon, or the last one given would win
+    horizon = p.add_mutually_exclusive_group()
+    horizon.add_argument("--T", dest="horizon", help="horizon (number of time steps)")
     for name in _FIELDS:
         if name not in fixed:
-            p.add_argument("--" + name.replace("_", "-"), dest=name)
+            (horizon if name == "horizon" else p).add_argument(
+                "--" + name.replace("_", "-"), dest=name
+            )
 
 
 @functools.cache

@@ -3,16 +3,21 @@
 The estimation set at threshold lam collects every grid phase whose score
 is <= lam (boundary included). The threshold evolves by
 lam <- lam + eta_t * (loss - alpha), which telescopes to an exact identity
-on the running loss. risk_bound() turns that identity into a long-run bound
-under an assumption on the range of lam that the -log-posterior scores can
-break (see risk_bound). Every function here is pure: the threshold is one float
-that the caller keeps (engine.RunState.lam), and eta, alpha, the schedule
-and l_max are passed in from its RunConfig.
+on the running loss. risk_bound() turns that identity into a deterministic
+long-run bound, (score_max + eta l_max) / (eta_T T), which holds whenever
+every score lies in [0, score_max] and lam_1 <= score_max. Its default
+ceiling SCORE_MAX holds for every posterior the estimator can give, and a
+run passes the ceiling it observed, max(lam_1, largest true-phase score):
+engine.run_trial checks the bound after its last step and raises when it
+fails. Every function here is pure: the threshold is one float that the
+caller keeps (engine.RunState.lam), and eta, alpha, the schedule and l_max
+are passed in from its RunConfig.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .estimator import SCORE_MAX
 from .probe import ConfigurationError
 
 SCHEDULES = ("constant", "decay")
@@ -79,17 +84,19 @@ def soft_set_size(scores: np.ndarray, lam: float, tau: float) -> float:
 
 
 def risk_bound(
-    horizon: int, eta: float, schedule: str = "constant", l_max: float = 1.0
+    horizon: int, eta: float, schedule: str = "constant", l_max: float = 1.0,
+    score_max: float = SCORE_MAX,
 ) -> float:
-    """Bound on (average loss - alpha) after `horizon` steps, assuming lam
-    stays in a band of width l_max + eta.
+    """Bound on (average loss - alpha) after `horizon` threshold updates from
+    lam_1, when every score lies in [0, score_max] and lam_1 <= score_max.
 
-    Constant schedule: the telescoped step-size sequence sums to 1/eta, so
-    the bound is (l_max + eta) / (horizon * eta). Decaying eta/sqrt(t): the
-    sum telescopes to sqrt(T)/eta. Either way the largest step size is eta.
-    The band assumption fails once -log-posterior scores exceed l_max, since
-    lam can then climb past l_max before the set fills, so the value is not
-    a guarantee for every run (ROADMAP item 1 gives the score-aware bound).
+    lam rises only on a miss, when lam < score(x_true), and then by at most
+    eta (l_max - alpha), so it stays below score_max + eta (l_max - alpha).
+    It falls only when the set is not empty, when lam >= some score >= 0, and
+    then by at most eta alpha, so it stays above -eta alpha. Summing the
+    updates by parts bounds the total loss - alpha by that range over the last
+    step size eta_T, which is eta under "constant" and eta / sqrt(T) under
+    "decay": the bound is (score_max + eta l_max) / (eta_T T).
     """
     if horizon < 1:
         raise ConfigurationError("horizon must be >= 1")
@@ -97,5 +104,5 @@ def risk_bound(
         raise ConfigurationError("eta must be > 0")
     if schedule not in SCHEDULES:
         raise ConfigurationError(f"unknown schedule {schedule!r}")
-    delta_sum = (1.0 if schedule == "constant" else np.sqrt(horizon)) / eta
-    return float((l_max + eta) / horizon * delta_sum)
+    eta_last = eta if schedule == "constant" else eta / np.sqrt(horizon)
+    return float((score_max + eta * l_max) / (eta_last * horizon))

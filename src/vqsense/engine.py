@@ -29,6 +29,9 @@ TRIAL_SEED_STRIDE = 9973
 # peak-memory headroom, not speed: in paired serve-n4 runs blocks of 32 took
 # 0.9 MB more peak RSS, and their trial time was not measurably different.
 BLOCK = 16
+# Float slack of the end-of-run bound check: the bound is exact in real
+# arithmetic, and T rounded threshold updates move it by far less than this.
+RISK_TOL = 1e-9
 # RunConfig field annotation -> (text parser, accepted types, description); a str
 # field keeps its text, and bools never pass
 FIELD_KINDS = {
@@ -360,13 +363,27 @@ def frozen_posteriors(state: RunState, xs: np.ndarray) -> tuple[np.ndarray, np.n
 def run_trial(cfg: RunConfig, seed: int) -> list[EpisodeRecord]:
     """One full trial: init, pretrain_run, then `horizon` sensing steps. When the
     probe and estimators stay fixed, every step's posterior is scored in
-    blocks before the first step (frozen_posteriors), with the same draws."""
+    blocks before the first step (frozen_posteriors), with the same draws.
+
+    A mode that updates the threshold then checks the long-run bound at the
+    ceiling the trial observed, max(lam_1, largest true-phase score), and
+    raises RuntimeError if the average loss exceeds alpha + that bound."""
     state = init_state(cfg, seed)
     pretrain_run(state)
     xs = phase_sequence(cfg, state.rng)
     ahead = repeat(None) if cfg.updates_params else zip(*frozen_posteriors(state, xs))
     for x_index, scored in zip(xs, ahead):
         sense_step(state, int(x_index), scored)
+    if cfg.updates_threshold:
+        ceiling = max([cfg.lambda_start] + [r.scores[r.x_index] for r in state.records])
+        limit = cfg.alpha + conformal.risk_bound(
+            cfg.horizon, cfg.eta, cfg.schedule, cfg.l_max, ceiling
+        )
+        avg_loss = state.records[-1].avg_loss
+        if not avg_loss <= limit + RISK_TOL:
+            raise RuntimeError(
+                f"average loss {avg_loss:.6f} above alpha + risk bound {limit:.6f}"
+            )
     return state.records
 
 

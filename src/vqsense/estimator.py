@@ -27,6 +27,10 @@ import numpy as np
 from .probe import ConfigurationError
 
 EPS = 1e-12
+# Largest conformity score -log p a posterior can give: flooring at EPS adds
+# at most M * EPS < 1 to the sum before renormalization on any grid of fewer
+# than 1/EPS phases, so every probability stays above EPS / 2.
+SCORE_MAX = float(-np.log(EPS / 2))
 # Sequences per pretraining step. A single-sequence step is bound by numpy
 # call overhead on H-wide vectors, so default pretraining (n = 4, H = 64)
 # takes 2.3x less time in blocks of 5 (BENCH_fit.json). Blocks of 10 took

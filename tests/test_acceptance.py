@@ -75,8 +75,10 @@ class TestCriterion2RiskBound:
             )
             records = run_trial(cfg, int(rng.integers(10_000)))
             avg_loss = records[-1].avg_loss
+            # the observed ceiling: lam_1 or the largest true-phase score
+            ceiling = max([records[0].lam_before] + [r.scores[r.x_index] for r in records])
             bound = conformal.risk_bound(
-                cfg.horizon, cfg.eta, cfg.schedule, cfg.l_max
+                cfg.horizon, cfg.eta, cfg.schedule, cfg.l_max, ceiling
             )
             slack = cfg.alpha + bound - avg_loss
             worst = max(worst, avg_loss - cfg.alpha - bound)

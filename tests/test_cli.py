@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vqsense import cli
+from vqsense import cli, conformal
 from vqsense.cli import (
     build_config,
     main,
@@ -210,6 +210,16 @@ class TestExitCodes:
         assert not out.exists()
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order", [["--T", "3", "--horizon", "4"],
+                                       ["--horizon", "4", "--T", "3"]])
+    def test_both_horizon_flags_exit_2(self, order, fast_cfg_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(fast_cfg_file), "--out-dir", str(out)] + order)
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("alpha = banana\n")
@@ -313,6 +323,18 @@ class TestRunArtifacts:
             main(["run", "--config", str(fast_cfg_file), "--out-dir", str(out)])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "interrupted"
+        assert {p.name for p in out.iterdir()} == {"manifest.json", "run.log"}
+
+    def test_failed_bound_check_marks_manifest_partial(self, fast_cfg_file, tmp_path,
+                                                      monkeypatch):
+        # a threshold kept below every score empties every set
+        monkeypatch.setattr(conformal, "update_threshold", lambda *args: -1.0)
+        out = tmp_path / "run"
+        argv = ["run", "--config", str(fast_cfg_file), "--T", "40", "--out-dir", str(out)]
+        assert main(argv) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "partial"
+        assert "above alpha + risk bound" in manifest["error"]
         assert {p.name for p in out.iterdir()} == {"manifest.json", "run.log"}
 
     def test_failed_write_leaves_final_name_untouched(self, tmp_path):

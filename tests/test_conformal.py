@@ -3,6 +3,7 @@ import pytest
 
 from vqsense import conformal
 from vqsense.conformal import build_set, update_threshold
+from vqsense.estimator import EPS, SCORE_MAX, _posterior
 from vqsense.probe import ConfigurationError, phase_grid
 
 
@@ -165,7 +166,21 @@ class TestSigmoid:
 
 class TestRiskBound:
     def test_constant_eta_value(self):
-        assert abs(conformal.risk_bound(100, 0.1) - 0.11) < 1e-12
+        # (score_max + eta l_max) / (eta T)
+        assert abs(conformal.risk_bound(100, 0.1, score_max=3.0) - 0.31) < 1e-12
+        want = (3.0 + 0.1 * np.pi) / 10
+        assert abs(conformal.risk_bound(100, 0.1, "constant", np.pi, 3.0) - want) < 1e-12
+
+    def test_default_ceiling_is_score_max(self):
+        want = (SCORE_MAX + 0.1) / 10
+        assert abs(conformal.risk_bound(100, 0.1) - want) < 1e-12
+        assert SCORE_MAX == -np.log(EPS / 2)
+
+    @pytest.mark.parametrize("m", [2, 10, 1000])
+    def test_score_max_bounds_the_floored_posterior(self, m):
+        logits = np.zeros(m)
+        logits[0] = 1e4  # every other phase falls to the EPS floor
+        assert np.max(-np.log(_posterior(logits))) <= SCORE_MAX
 
     def test_one_over_t_scaling(self):
         assert abs(
@@ -174,11 +189,12 @@ class TestRiskBound:
 
     def test_decay_schedule_telescoping(self):
         # oracle: sum of the step-size increment sequence is 1/eta_T
-        T, eta = 100, 0.1
+        T, eta, score_max = 100, 0.1, 2.5
         eta_t = eta / np.sqrt(np.arange(1, T + 1))
         delta_sum = 1 / eta_t[0] + np.sum(1 / eta_t[1:] - 1 / eta_t[:-1])
-        expected = (1.0 + eta_t.max()) / T * delta_sum
-        assert abs(conformal.risk_bound(T, eta, "decay") - expected) < 1e-12
+        expected = (score_max + eta_t.max()) / T * delta_sum
+        got = conformal.risk_bound(T, eta, "decay", score_max=score_max)
+        assert abs(got - expected) < 1e-12
 
     def test_bad_args(self):
         with pytest.raises(ConfigurationError):

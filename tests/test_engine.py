@@ -231,6 +231,22 @@ class TestDistributionCache:
         assert 0 < len(calls) <= cfg.m
         assert len(set(calls)) == len(calls)
 
+    def test_each_trial_simulates_its_own_probe(self, monkeypatch):
+        cfg = fast_config(mode="static-probe-estimator", eta_theta=0.0, horizon=40)
+        calls = []
+        simulate = probe.measurement_distribution
+
+        def counted(*args):
+            calls.append(args[1])
+            return simulate(*args)
+
+        monkeypatch.setattr(probe, "measurement_distribution", counted)
+        run_trial(cfg, 5)
+        first = list(calls)
+        calls.clear()
+        run_trial(cfg, 5)  # the same angles, simulated again
+        assert calls == first
+
     def test_dropped_when_angles_change(self):
         cfg = fast_config()
         state = init_state(cfg, 0)
@@ -598,8 +614,38 @@ class TestRunTrial:
         for seed in range(3):
             records = run_trial(cfg, seed)
             avg = records[-1].avg_loss
-            bound = conformal.risk_bound(cfg.horizon, cfg.eta, cfg.schedule, cfg.l_max)
+            ceiling = max([records[0].lam_before] + [r.scores[r.x_index] for r in records])
+            bound = conformal.risk_bound(
+                cfg.horizon, cfg.eta, cfg.schedule, cfg.l_max, ceiling
+            )
             assert avg <= cfg.alpha + bound + 1e-12
+
+    @pytest.mark.parametrize("seed", [11, 27])
+    def test_serve_runs_above_the_band_bound_complete(self, seed):
+        # serve-n4's config: these seeds end above the bound that assumes lam
+        # stays within l_max + eta (score_max = l_max), and within the true one
+        cfg = RunConfig(trials=1, mode="static-probe-estimator", eta_theta=0.0, horizon=2000)
+        records = run_trial(cfg, seed)
+        band = conformal.risk_bound(cfg.horizon, cfg.eta, cfg.schedule, cfg.l_max, cfg.l_max)
+        assert records[-1].avg_loss > cfg.alpha + band
+        assert len(records) == cfg.horizon
+
+    def test_run_raises_when_its_bound_fails(self, monkeypatch):
+        # a threshold kept below every score empties every set
+        monkeypatch.setattr(conformal, "update_threshold", lambda *args: -1.0)
+        cfg = fast_config(horizon=40, pretrain_samples=0)
+        with pytest.raises(RuntimeError, match="above alpha \\+ risk bound"):
+            run_trial(cfg, 0)
+
+    def test_modes_without_threshold_updates_skip_the_check(self, monkeypatch):
+        monkeypatch.setattr(conformal, "risk_bound", lambda *args: -1.0)
+        for mode in engine.MODES:
+            cfg = fast_config(mode=mode, horizon=5, pretrain_samples=0)
+            if cfg.updates_threshold:
+                with pytest.raises(RuntimeError):
+                    run_trial(cfg, 0)
+            else:
+                assert len(run_trial(cfg, 0)) == cfg.horizon
 
     def test_drift_sequence(self):
         cfg = fast_config(phase_process="drift", pretrain_samples=0)

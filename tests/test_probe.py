@@ -257,6 +257,19 @@ class TestLayerStateMemo:
             with pytest.raises(ValueError):
                 amps[0] = 0.0
 
+    def test_distribution_is_kept_per_phase_beside_the_states(self, rng):
+        theta = probe.random_angles(2, rng)
+        dist = probe.distribution(theta, 0.6, 3)
+        assert dist.tobytes() == self.fresh(theta, 0.6, 3, np.ones(8, int))[0].tobytes()
+        assert probe.distribution(theta, 0.6, 3) is not dist  # the fresh run cleared it
+        dist = probe.distribution(theta, 0.6, 3)
+        assert probe.distribution(theta.copy(), 0.6, 3) is dist
+        assert probe.distribution(theta, 0.9, 3) is not dist
+        with pytest.raises(ValueError):
+            dist[0] = 0.5
+        with pytest.raises(ConfigurationError):  # the same bytes in another shape
+            probe.distribution(theta.ravel(), 0.6, 3)
+
     def test_prepare_probe_output_is_read_only(self, rng):
         amps = probe.prepare_probe(probe.random_angles(2, rng), 3)
         with pytest.raises(ValueError):
@@ -267,6 +280,7 @@ class TestLayerStateMemo:
 ENTRY_POINTS = {
     "prepare_probe": lambda theta: probe.prepare_probe(theta, 3),
     "measurement_distribution": lambda theta: probe.measurement_distribution(theta, 0.4, 3),
+    "distribution": lambda theta: probe.distribution(theta, 0.4, 3),
     "log_prob_grad": lambda theta: probe.log_prob_grad(theta, 0.4, 3, np.ones(8, int)),
     "log_prob_grad_table": lambda theta: probe.log_prob_grad_table(theta, 0.4, 3),
 }

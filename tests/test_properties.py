@@ -1,4 +1,5 @@
-"""Property tests: the threshold update's telescoping identity, the
+"""Property tests: the threshold update's telescoping identity and its
+long-run risk bound for any scores up to the ceiling, the
 all-or-ConfigurationError contract of RunConfig validation, under which every
 float field of a config that constructs is a finite real that is not a bool and
 every int field holds an int, the estimator's batched forward pass, which
@@ -10,12 +11,20 @@ import numbers
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from vqsense.conformal import SCHEDULES, update_threshold
-from vqsense.engine import RunConfig
-from vqsense.estimator import SequentialPhaseEstimator, _posterior
-from vqsense.probe import ConfigurationError
+from vqsense.conformal import (
+    EMPTY_SET_DISTANCE,
+    SCHEDULES,
+    build_set,
+    coverage_loss,
+    min_distance_loss,
+    risk_bound,
+    update_threshold,
+)
+from vqsense.engine import LOSS_KINDS, RISK_TOL, RunConfig
+from vqsense.estimator import SCORE_MAX, SequentialPhaseEstimator, _posterior
+from vqsense.probe import ConfigurationError, phase_grid
 
 
 @settings(max_examples=200, deadline=None)
@@ -38,6 +47,51 @@ def test_threshold_update_telescopes(schedule, l_max, eta, alpha, lam, fractions
         scale += abs(eta_t * (loss - alpha))
         lam_t = update_threshold(lam_t, loss, t - 1, eta, alpha, schedule, l_max)
     assert abs((lam_t - lam) - drift) <= 1e-12 * len(fractions) * (abs(lam) + scale)
+
+
+MAX_M = 5  # grid sizes drawn by the risk-bound property
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    schedule=st.sampled_from(SCHEDULES),
+    loss_kind=st.sampled_from(LOSS_KINDS),
+    eta=st.floats(1e-2, 5.0),
+    alpha=st.floats(0.01, 0.99),
+    m=st.integers(2, MAX_M),
+    ceiling=st.floats(0.0, SCORE_MAX),
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, MAX_M - 1),
+            st.lists(st.floats(0.0, 1.0), min_size=MAX_M, max_size=MAX_M),
+        ),
+        min_size=1, max_size=80,
+    ),
+)
+# The true phase scores the ceiling at every step, so every step misses: the
+# average loss 1 exceeds alpha + (l_max + eta) / (eta T) = 0.21, the bound that
+# assumes lam stays within a band of width l_max + eta.
+@example(schedule="constant", loss_kind="coverage", eta=0.1, alpha=0.1, m=2,
+         ceiling=SCORE_MAX, steps=[(0, [1.0] * MAX_M)] * 100)
+def test_risk_bound_holds_for_any_scores(schedule, loss_kind, eta, alpha, m, ceiling, steps):
+    """Scores anywhere in [0, B], lam_1 = log m: the average loss stays within
+    alpha + risk_bound at the ceiling max(B, lam_1), under both schedules and
+    both losses."""
+    grid = phase_grid(m)
+    l_max = 1.0 if loss_kind == "coverage" else EMPTY_SET_DISTANCE
+    lam = lam_1 = math.log(m)
+    loss_sum = 0.0
+    for t, (x_raw, fractions) in enumerate(steps):
+        x = x_raw % m
+        mask = build_set(ceiling * np.array(fractions[:m]), lam)
+        if loss_kind == "coverage":
+            loss = coverage_loss(x, mask)
+        else:
+            loss = min_distance_loss(grid[x], mask, grid)
+        loss_sum += loss
+        lam = update_threshold(lam, loss, t, eta, alpha, schedule, l_max)
+    bound = risk_bound(len(steps), eta, schedule, l_max, max(ceiling, lam_1))
+    assert loss_sum / len(steps) <= alpha + bound + RISK_TOL
 
 
 # the non-finite values get a branch of their own so they are drawn often
