@@ -41,11 +41,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("trial-n4", "serve-n4")
 # Other modes whose artifacts are compared, each a config for `vqsense run`.
-# The static modes' fixed threshold ~ U[0, 2] must fall inside the score range
-# (about log m) or every set is empty: at m = 3, seed 13 draws 1.04.
 EXTRA_CONFIGS = {
-    "static": "trials = 1\nmode = static\nm = 3\nseed = 13\n",
-    "static-threshold": "trials = 1\nmode = static-threshold\nm = 3\nseed = 13\n",
+    "static": "trials = 1\nmode = static\n",
+    "static-threshold": "trials = 1\nmode = static-threshold\n",
     "dropout-0.2": "trials = 1\ndropout = 0.2\nseed = 3\n",
     "ensemble-3": "trials = 1\nensemble = 3\nseed = 3\n",
     "static-pe-dropout": "trials = 1\nmode = static-probe-estimator\ndropout = 0.2\nseed = 3\n",

@@ -177,7 +177,6 @@ def _manifest_base(cfg: RunConfig, command: str) -> dict:
         "seed_rule": f"trial i uses seed + i*{TRIAL_SEED_STRIDE} (base seed {cfg.seed})",
         "decisions": {
             "recurrent_cell": "gru",
-            "lambda_init": cfg.lambda_start,
             "theta_gradient": "score-function with running-mean baseline",
         },
         "artifacts": {},

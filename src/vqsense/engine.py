@@ -18,7 +18,7 @@ from itertools import repeat
 import numpy as np
 
 from . import conformal, probe
-from .estimator import EPS, SequentialPhaseEstimator
+from .estimator import EPS, SCORE_MAX, SequentialPhaseEstimator
 from .probe import MAX_QUBITS, ConfigurationError
 
 MODES = ("dynamic", "static", "static-threshold", "static-probe-estimator")
@@ -192,14 +192,12 @@ class RunState:
 
 
 def init_state(cfg: RunConfig, seed: int) -> RunState:
-    """Fresh trial state: random probe angles, fresh estimator(s), lam_1.
-
-    The static modes draw their fixed threshold uniform in [0, 2] right after
-    the angles; the estimators seed their own generators."""
+    """Fresh trial state: random probe angles, fresh estimator(s), lam_1 in
+    every mode. The angles are the only draw from the trial rng; the
+    estimators seed their own generators."""
     rng = np.random.default_rng(seed)
     probe._states_for.cache_clear()  # no trial reuses the simulations of the one before
     theta = probe.random_angles(cfg.layers, rng)
-    lam = cfg.lambda_start if cfg.updates_threshold else float(rng.uniform(0.0, 2.0))
     models = [
         SequentialPhaseEstimator(
             input_dim=2**cfg.n,
@@ -214,7 +212,7 @@ def init_state(cfg: RunConfig, seed: int) -> RunState:
         cfg=cfg,
         theta=theta,
         models=models,
-        lam=lam,
+        lam=cfg.lambda_start,
         grid=probe.phase_grid(cfg.m),
         rng=rng,
     )
@@ -230,7 +228,13 @@ def pretrain_run(state: RunState) -> None:
     cycling through the pretraining phases with freshly resampled shots
     (the recorded shots carry no probe-angle dependence). The baseline
     accumulators are reset afterwards, so the sensing loop's starts fresh.
-    With pretrain_samples = 0 it returns at once, drawing nothing.
+
+    A mode that keeps its threshold fixed then calibrates it (split
+    conformal): N = pretrain_samples fresh phase indices, scored by
+    frozen_posteriors under the pretrained probe and estimators, and lam set
+    to the ceil((N + 1)(1 - alpha))-th smallest true-phase score, or to
+    SCORE_MAX when that rank is above N. With pretrain_samples = 0 it returns
+    at once, drawing nothing, and lam stays lam_1.
     """
     cfg = state.cfg
     if not cfg.pretrain_samples:
@@ -250,6 +254,15 @@ def pretrain_run(state: RunState) -> None:
         g = conformal.soft_set_size(scores, cfg.lambda_start, cfg.tau)
         probe_grad_step(state, x_index, fresh, g)
     state.g_sum, state.g_count = 0.0, 0
+
+    if not cfg.updates_threshold:
+        xs = state.rng.integers(cfg.m, size=cfg.pretrain_samples)
+        posts = frozen_posteriors(state, xs)[1]
+        scores = np.sort(-np.log(posts[np.arange(len(xs)), xs]))
+        # rounded first, so that float error (10 * (1 - 0.7) = 3.0000000000000004)
+        # cannot raise the rank by one
+        rank = int(np.ceil(round((len(xs) + 1) * (1 - cfg.alpha), 9)))
+        state.lam = float(scores[rank - 1]) if rank <= len(xs) else SCORE_MAX
 
 
 def probe_grad_step(state: RunState, x_index: int, shots: np.ndarray, g_value: float) -> bool:

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from vqsense import conformal, engine, probe
+from vqsense import checks, conformal, engine, probe
 from vqsense.engine import (
     EpisodeRecord,
     RunConfig,
@@ -16,7 +16,7 @@ from vqsense.engine import (
     run_trial,
     sense_step,
 )
-from vqsense.estimator import EPS, SequentialPhaseEstimator
+from vqsense.estimator import EPS, SCORE_MAX, SequentialPhaseEstimator
 from vqsense.probe import ConfigurationError
 
 FAST = dict(
@@ -117,17 +117,45 @@ class TestSenseStep:
         assert state.lam == lam
         assert state_hash(state) != before  # theta and w moved
 
-    @pytest.mark.parametrize("mode", ["static", "static-threshold"])
-    def test_static_threshold_drawn_after_angles(self, mode):
-        cfg = fast_config(mode=mode)
-        state = init_state(cfg, 11)
+    @pytest.mark.parametrize("mode", engine.MODES)
+    def test_every_mode_starts_at_lambda_1_after_drawing_only_the_angles(self, mode):
+        state = init_state(fast_config(mode=mode), 11)
         rng = np.random.default_rng(11)
-        probe.random_angles(cfg.layers, rng)
-        lam = rng.uniform(0.0, 2.0)
-        assert state.lam == lam
+        probe.random_angles(state.cfg.layers, rng)
+        assert state.lam == state.cfg.lambda_start
+        assert state.rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("mode", ["static", "static-threshold"])
+    @pytest.mark.parametrize("alpha, rank", [(0.3, 7), (0.7, 3)])
+    def test_static_threshold_calibrated_after_pretraining(self, mode, alpha, rank):
+        """pretrain_run ends with N = 9 fresh phase indices from the trial
+        rng, each scored on its own draw, and lam is the
+        rank = ceil(10 (1 - alpha))-th smallest true-phase score; the steps
+        then keep it."""
+        cfg = fast_config(mode=mode, pretrain_samples=9, alpha=alpha)
+        state = init_state(cfg, 11)
+        pretrain_run(state)
+        # the same pretraining in a mode that keeps lam_1, then the calibration replayed
+        ref = init_state(dataclasses.replace(cfg, mode="dynamic"), 11)
+        pretrain_run(ref)
+        assert ref.lam == cfg.lambda_start
+        scores = []
+        for x in ref.rng.integers(cfg.m, size=cfg.pretrain_samples):
+            post = ref.posterior(*ref.draw(int(x)))[0]
+            scores.append(-np.log(post[x]))
+        assert state.rng.bit_generator.state == ref.rng.bit_generator.state
+        lam = sorted(scores)[rank - 1]
+        assert state.lam == pytest.approx(lam, rel=1e-12)
         for t in range(4):
-            assert sense_step(state, t % cfg.m).lam_before == lam
-        assert state.lam == lam
+            assert sense_step(state, t % cfg.m).lam_before == state.lam
+        assert state.lam == pytest.approx(lam, rel=1e-12)
+
+    def test_static_threshold_rank_above_samples_is_score_max(self):
+        # ceil(6 * 0.9) = 6 > 5 calibration scores: every set is full
+        state = init_state(fast_config(mode="static", alpha=0.1), 3)
+        pretrain_run(state)
+        assert state.lam == SCORE_MAX
+        assert sense_step(state, 0).set_size == state.cfg.m
 
     def test_static_probe_estimator_freezes_params_only(self):
         cfg = fast_config(mode="static-probe-estimator")
@@ -454,6 +482,21 @@ class TestProbeGradStep:
         assert np.max(np.abs(out - theta.ravel())) > 1e-3
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9)
 
+    def test_sign_flipped_step_fails_gradcheck(self, monkeypatch):
+        """The score-function check drives this update, so a step taken with
+        eta_theta's sign flipped fails it."""
+        step = engine.probe_grad_step
+
+        def flipped(state, *args):
+            before = state.theta
+            skipped = step(state, *args)
+            state.theta = 2 * before - state.theta
+            return skipped
+
+        assert checks.check_score_function_gradient(0)["passed"]
+        monkeypatch.setattr(engine, "probe_grad_step", flipped)
+        assert not checks.check_score_function_gradient(0)["passed"]
+
 
 class TestPretrainRun:
     def test_zero_budget_keeps_theta(self):
@@ -562,6 +605,12 @@ class TestRunTrial:
             for key in ("x_index", "shots", "set_mask", "lam_before", "loss", "avg_loss"):
                 assert getattr(g, key) == getattr(w, key), (g.t, key)
             np.testing.assert_allclose(g.scores, w.scores, rtol=1e-12, atol=0, err_msg=g.t)
+
+    def test_static_sets_not_empty_at_defaults(self):
+        """The calibrated threshold sits among the pretrained scores, so no
+        static-mode set is empty."""
+        records = run_trial(RunConfig(mode="static", trials=1), 0)
+        assert min(r.set_size for r in records) >= 1
 
     @pytest.mark.parametrize("mode", engine.MODES)
     def test_draws_come_before_steps_only_when_frozen(self, mode, monkeypatch):
